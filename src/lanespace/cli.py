@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,9 +17,12 @@ from .losses import check_gradients
 from .metrics import N_CLASSES, ConfusionCounts, accuracy, confusion, iou, miou
 from .netpbm import PnmError, read_mask, write_mask, write_rgb
 from .pipeline import (
+    NullSink,
     PipelineConfig,
+    gen_source,
     make_sink,
     make_source,
+    read_road_class,
     run_pipeline,
     serve,
 )
@@ -53,6 +57,14 @@ def _load_config(path: str | None) -> PipelineConfig:
         return PipelineConfig.from_dict(json.load(f))
 
 
+def _pipeline_config(args) -> PipelineConfig:
+    """The --config file's settings with the command-line --queue applied."""
+    cfg = _load_config(args.config)
+    if args.queue is not None:
+        cfg = dataclasses.replace(cfg, queue_capacity=args.queue)
+    return cfg
+
+
 def _emit(payload: dict[str, Any], out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out is None:
@@ -82,18 +94,6 @@ def render_overlay(mask: SegmentationMask, regions: RegionSet) -> np.ndarray:
     return img
 
 
-def _side_road_class(mask_path: Path) -> RoadClass:
-    side = mask_path.with_suffix(".json")
-    if side.exists():
-        try:
-            raw = json.loads(side.read_text())
-            if isinstance(raw, dict) and "road_class" in raw:
-                return road_class_from_name(str(raw["road_class"]))
-        except (ValueError, OSError):
-            pass
-    return RoadClass.UNKNOWN
-
-
 def cmd_process(args) -> int:
     cfg = _load_config(args.config)
     mask_path = Path(args.mask)
@@ -105,7 +105,7 @@ def cmd_process(args) -> int:
     if args.road_class is not None:
         road_class = road_class_from_name(args.road_class)
     else:
-        road_class = _side_road_class(mask_path)
+        road_class = read_road_class(mask_path.with_suffix(".json"))
     regions = extract_regions(mask, cfg.extraction)
     advice = advise(road_class, regions)
     doc = build_document(0, road_class, regions, advice.as_dict())
@@ -120,13 +120,7 @@ def cmd_process(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    if args.workers is not None or args.queue is not None:
-        cfg = PipelineConfig(
-            queue_capacity=args.queue or cfg.queue_capacity,
-            worker_pool_size=args.workers or cfg.worker_pool_size,
-            extraction=cfg.extraction,
-        )
+    cfg = _pipeline_config(args)
     if args.source.startswith("tcp:"):
         extra = None if args.sink == "null" else make_sink(args.sink)
         stats = serve(args.source[len("tcp:") :], cfg, extra_sink=extra)
@@ -152,16 +146,6 @@ def _document_to_mask(doc_path: Path, width: int, height: int) -> SegmentationMa
     return SegmentationMask(grid)
 
 
-def _document_road_class(doc_path: Path) -> RoadClass:
-    try:
-        raw = json.loads(doc_path.read_text())
-        if isinstance(raw, dict) and "road_class" in raw:
-            return road_class_from_name(str(raw["road_class"]))
-    except (ValueError, OSError):
-        pass
-    return RoadClass.UNKNOWN
-
-
 def cmd_eval(args) -> int:
     gt_dir, pred_dir = Path(args.gt), Path(args.pred)
     gt_files = sorted(gt_dir.glob("*.pgm"))
@@ -178,16 +162,16 @@ def cmd_eval(args) -> int:
         pred_doc = (pred_dir / gt_path.stem).with_suffix(".json")
         if pred_pgm.exists():
             pred_mask = read_mask(pred_pgm)
-            pred_rc = _side_road_class(pred_pgm)
+            pred_rc = read_road_class(pred_pgm.with_suffix(".json"))
         elif pred_doc.exists():
             pred_mask = _document_to_mask(pred_doc, gt_mask.width, gt_mask.height)
-            pred_rc = _document_road_class(pred_doc)
+            pred_rc = read_road_class(pred_doc)
         else:
             print(f"error: no prediction for {gt_path.name}", file=sys.stderr)
             return 2
         totals = totals + confusion(pred_mask, gt_mask)
         n_images += 1
-        gt_rc = _side_road_class(gt_path)
+        gt_rc = read_road_class(gt_path.with_suffix(".json"))
         if gt_rc != RoadClass.UNKNOWN and pred_rc != RoadClass.UNKNOWN:
             gt_classes.append(int(gt_rc))
             pred_classes.append(int(pred_rc))
@@ -252,18 +236,10 @@ def cmd_loss_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
-    if args.workers is not None or args.queue is not None:
-        cfg = PipelineConfig(
-            queue_capacity=args.queue or cfg.queue_capacity,
-            worker_pool_size=args.workers or cfg.worker_pool_size,
-            extraction=cfg.extraction,
-        )
+    cfg = _pipeline_config(args)
     spec = f"{args.frames}x{args.width}x{args.height}"
     if args.noise is not None:
         spec += f"@{args.noise}"
-    from .pipeline import NullSink, gen_source
-
     warm = run_pipeline(gen_source(f"{args.warmup}x{args.width}x{args.height}", args.seed), NullSink(), cfg)
     measured = run_pipeline(gen_source(spec, args.seed), NullSink(), cfg)
     report = _report(
@@ -298,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[shared], help="stream masks through the pipeline")
     p.add_argument("--source", required=True, help="dir:<path>, gen:<N[xWxH][@noise]>, or tcp:<host:port> to serve")
     p.add_argument("--sink", default="null", help="dir:<path>, tcp:<host:port>, or null")
-    p.add_argument("--workers", type=int, help="worker pool size override")
     p.add_argument("--queue", type=int, help="queue capacity override")
     p.add_argument("--stats", help="write the stats report here")
     p.set_defaults(func=cmd_run)
@@ -327,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--height", type=int, default=480)
     p.add_argument("--noise", type=float)
-    p.add_argument("--workers", type=int)
     p.add_argument("--queue", type=int)
     p.set_defaults(func=cmd_bench)
     return parser

@@ -1,10 +1,10 @@
 """Two-stage bounded pipeline and the binary frame protocol.
 
-Stage 1 acquires and decodes mask frames; stage 2 extracts regions using an
-internal worker pool (the two class clusterings of a frame run as pool tasks).
-Stages communicate through a bounded queue and a token semaphore keeps at most
+Stage 1 (a producer thread) acquires and decodes mask frames; stage 2 (the
+calling thread) extracts regions one frame at a time. Stages communicate
+through a bounded queue and a token semaphore keeps at most
 2 * queue_capacity frames in flight, so backpressure blocks instead of
-dropping. Output order equals input order for every pool size.
+dropping. Output order equals input order.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import struct
 import threading
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from queue import Queue
@@ -180,16 +179,21 @@ def dir_source(path: str | os.PathLike) -> Iterator[SourceFrame | SourceFailure]
         except (PnmError, OSError) as e:
             yield SourceFailure(f"{pgm.name}: {e}")
             continue
-        road_class = RoadClass.UNKNOWN
-        side = pgm.with_suffix(".json")
-        if side.exists():
-            try:
-                raw = json.loads(side.read_text())
-                if isinstance(raw, dict) and "road_class" in raw:
-                    road_class = road_class_from_name(str(raw["road_class"]))
-            except (ValueError, OSError):
-                pass
-        yield SourceFrame(frame_id, road_class, mask)
+        yield SourceFrame(frame_id, read_road_class(pgm.with_suffix(".json")), mask)
+
+
+def read_road_class(path: str | os.PathLike) -> RoadClass:
+    """The road class named by a JSON file's "road_class" key.
+
+    A missing or unreadable file, bad JSON or an unknown name gives UNKNOWN.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+        if isinstance(raw, dict) and "road_class" in raw:
+            return road_class_from_name(str(raw["road_class"]))
+    except (ValueError, OSError):
+        pass
+    return RoadClass.UNKNOWN
 
 
 def gen_source(spec: str, seed: int = 0) -> Iterator[SourceFrame | SourceFailure]:
@@ -332,14 +336,11 @@ class TeeSink:
 @dataclass(frozen=True)
 class PipelineConfig:
     queue_capacity: int = 8
-    worker_pool_size: int = 6
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.worker_pool_size < 1:
-            raise ValueError("worker_pool_size must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
@@ -354,7 +355,6 @@ class PipelineConfig:
     def to_dict(self) -> dict[str, Any]:
         return {
             "queue_capacity": self.queue_capacity,
-            "worker_pool_size": self.worker_pool_size,
             "extraction": self.extraction.to_dict(),
         }
 
@@ -413,23 +413,27 @@ def run_pipeline(
     """Drive every source frame through extraction to the sink, in order.
 
     `observe` is a test hook called by stage 1 after each successful decode.
+    An exception from the source is raised here once stage 1 has ended; one
+    from extraction or the sink stops stage 1 before it is re-raised.
     """
     cfg = cfg or PipelineConfig()
     stats = PipelineStats()
     gauge = _InFlightGauge(2 * cfg.queue_capacity)
     frames: Queue = Queue(maxsize=cfg.queue_capacity)
     failures = 0
+    source_errors: list[Exception] = []
+    stop = threading.Event()
     t_start = time.perf_counter()
 
     def produce() -> None:
         nonlocal failures
-        it = iter(source)
         try:
+            it = iter(source)
             while True:
                 # The token gates decoding of the next frame, so frames that
                 # exist but are not yet delivered never exceed the bound.
                 gauge.acquire()
-                item = next(it, None)
+                item = None if stop.is_set() else next(it, None)
                 if item is None:
                     gauge.release()
                     break
@@ -440,6 +444,8 @@ def run_pipeline(
                 if observe is not None:
                     observe(item)
                 frames.put((item, time.perf_counter()))
+        except Exception as e:
+            source_errors.append(e)
         finally:
             frames.put(None)
 
@@ -447,20 +453,27 @@ def run_pipeline(
     producer.start()
 
     latencies: list[float] = []
-    with ThreadPoolExecutor(max_workers=cfg.worker_pool_size) as pool:
-        while True:
-            got = frames.get()
-            if got is None:
-                break
+    try:
+        while (got := frames.get()) is not None:
             frame, t_in = got
-            regions = extract_regions(frame.mask, cfg.extraction, executor=pool)
+            regions = extract_regions(frame.mask, cfg.extraction)
             advice = advise(frame.road_class, regions)
             doc = build_document(frame.frame_id, frame.road_class, regions, advice.as_dict())
             sink.deliver(frame.frame_id, document_bytes(doc))
             latencies.append((time.perf_counter() - t_in) * 1000.0)
             gauge.release()
             stats.frames_processed += 1
+    except BaseException:
+        # Draining frees queue slots and tokens, so a blocked producer wakes,
+        # sees the stop flag and sends its end marker.
+        stop.set()
+        while frames.get() is not None:
+            gauge.release()
+        producer.join()
+        raise
     producer.join()
+    if source_errors:
+        raise source_errors[0]
 
     stats.errors = failures
     stats.elapsed_s = time.perf_counter() - t_start
@@ -503,6 +516,10 @@ def serve(
             bound_callback(server.getsockname()[1])
         conn, _ = server.accept()
         with conn:
+            # Without this, Nagle's algorithm holds each small reply until the
+            # previous one is ACKed, and the client delays that ACK until it
+            # sends its next mask: replies arrive one frame period late.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sink = WireSink(conn)
             if extra_sink is not None:
                 sink = TeeSink(sink, extra_sink)
@@ -530,10 +547,6 @@ class PipelineClient:
 
     def close(self) -> None:
         self.conn.close()
-
-
-def connect_source(address: str, timeout: float | None = 30.0) -> PipelineClient:
-    return PipelineClient(address, timeout=timeout)
 
 
 def make_source(spec: str, seed: int = 0) -> Iterable[SourceFrame | SourceFailure]:

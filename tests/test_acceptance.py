@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from lanespace import regions
 from lanespace.clustering import NOISE, ClusterParams, dbscan, dbscan_bruteforce
 from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample, extract_points
 from lanespace.geometry import (
@@ -321,7 +322,7 @@ def _serve_in_thread(cfg):
     return thread, box
 
 
-def test_criterion_8_throughput_and_deployment_identity():
+def test_criterion_8_throughput_and_deployment_identity(monkeypatch):
     with criterion("criterion 8 throughput and deployment identity"):
         stats = run_pipeline(
             gen_source("60x640x480@0.01", seed=0), NullSink(), PipelineConfig()
@@ -330,12 +331,14 @@ def test_criterion_8_throughput_and_deployment_identity():
         assert stats.throughput_fps >= 20.0, f"{stats.throughput_fps:.1f} fps"
 
         frames = list(gen_source("6x640x480@0.01", seed=17))
-        by_pool = {}
-        for workers in (1, 6):
+        by_branch = {}
+        for threshold in (0, 10**12):  # always two threads, never
             sink = _CaptureSink()
-            run_pipeline(frames, sink, PipelineConfig(worker_pool_size=workers))
-            by_pool[workers] = sink.docs
-        assert by_pool[1] == by_pool[6]
+            monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", threshold)
+            run_pipeline(frames, sink, PipelineConfig())
+            by_branch[threshold] = sink.docs
+        assert by_branch[0] == by_branch[10**12]
+        monkeypatch.undo()
 
         thread, box = _serve_in_thread(PipelineConfig())
         client = PipelineClient(f"127.0.0.1:{box['port']}")
@@ -351,7 +354,7 @@ def test_criterion_8_throughput_and_deployment_identity():
         finally:
             client.close()
         thread.join(10.0)
-        assert over_wire == by_pool[1]
+        assert over_wire == by_branch[0]
         print(f"  (sustained {stats.throughput_fps:.1f} fps)")
 
 

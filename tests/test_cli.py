@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from lanespace import __version__
+from lanespace import __version__, cli, regions
 from lanespace.cli import main
 from lanespace.core import ClassId, SegmentationMask
 from lanespace.netpbm import write_mask
+from lanespace.pipeline import make_source
 
 
 def parse_ppm(path):
@@ -116,18 +117,31 @@ def test_run_directory_to_directory(tmp_path):
     assert report["stats"]["errors"] == 0
 
 
-def test_run_outputs_do_not_depend_on_worker_count(tmp_path):
+def test_run_outputs_do_not_depend_on_the_extraction_branch(tmp_path, monkeypatch):
     out = {}
-    for workers in ("1", "6"):
-        sink = tmp_path / f"w{workers}"
+    for threshold in (0, 10**12):  # always two threads, never
+        monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", threshold)
+        sink = tmp_path / f"t{threshold}"
         assert main(
             ["run", "--source", "gen:3x320x240@0.01", "--seed", "9",
-             "--sink", f"dir:{sink}", "--workers", workers,
-             "--stats", str(tmp_path / f"s{workers}.json")]
+             "--sink", f"dir:{sink}", "--stats", str(tmp_path / f"s{threshold}.json")]
         ) == 0
-        out[workers] = {p.name: p.read_bytes() for p in sink.glob("*.json")}
-    assert out["1"] == out["6"]
-    assert len(out["1"]) == 3
+        out[threshold] = {p.name: p.read_bytes() for p in sink.glob("*.json")}
+    assert out[0] == out[10**12]
+    assert len(out[0]) == 3
+
+
+def test_run_exits_nonzero_when_the_source_fails(tmp_path, monkeypatch, capsys):
+    def failing_source(spec, seed):
+        yield from make_source("gen:2x64x64", seed)
+        raise OSError("source went away")
+
+    monkeypatch.setattr(cli, "make_source", failing_source)
+    assert main(
+        ["run", "--source", "gen:5x64x64", "--stats", str(tmp_path / "s.json")]
+    ) == 2
+    assert "source went away" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_run_honours_a_config_file(tmp_path):
@@ -136,10 +150,8 @@ def test_run_honours_a_config_file(tmp_path):
         json.dumps(
             {
                 "queue_capacity": 3,
-                "worker_pool_size": 2,
                 "extraction": {
                     "downsample_factor": 2,
-                    "parallel_classes": False,
                     "min_region_area": 64.0,
                     "cluster": {"eps": 1.5, "min_pts": 4, "min_cluster_size": 12},
                 },

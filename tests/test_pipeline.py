@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from lanespace import regions
 from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.netpbm import write_mask
 from lanespace.pipeline import (
@@ -18,6 +19,7 @@ from lanespace.pipeline import (
     make_sink,
     make_source,
     parse_address,
+    read_road_class,
     run_pipeline,
     serve,
 )
@@ -66,15 +68,16 @@ def test_output_order_equals_input_order():
     assert stats.errors == 0
 
 
-def test_documents_identical_for_every_pool_size():
+def test_documents_identical_on_both_extraction_branches(monkeypatch):
     frames = list(gen_source("5x320x240@0.01", seed=3))
     outputs = {}
-    for workers in (1, 2, 6):
+    for threshold in (0, 10**12):  # always two threads, never
+        monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", threshold)
         sink = CaptureSink()
-        run_pipeline(frames, sink, PipelineConfig(worker_pool_size=workers))
-        outputs[workers] = sink.delivered
-    assert outputs[1] == outputs[2] == outputs[6]
-    assert len(outputs[1]) == 5
+        run_pipeline(frames, sink, PipelineConfig())
+        outputs[threshold] = sink.delivered
+    assert outputs[0] == outputs[10**12]
+    assert len(outputs[0]) == 5
 
 
 def test_order_survives_a_jittery_source_and_slow_sink():
@@ -116,6 +119,44 @@ def test_source_failures_are_counted_not_fatal():
     assert [fid for fid, _ in sink.delivered] == [0, 1, 2]
 
 
+def test_a_raising_source_fails_the_run_after_its_frames():
+    def breaks_after_two():
+        yield small_frame(0)
+        yield small_frame(1)
+        raise OSError("camera unplugged")
+
+    sink = CaptureSink()
+    with pytest.raises(OSError, match="camera unplugged"):
+        run_pipeline(breaks_after_two(), sink, FAST_CFG)
+    assert [fid for fid, _ in sink.delivered] == [0, 1]
+
+
+def test_a_raising_sink_stops_the_source_thread():
+    class BrokenSink(CaptureSink):
+        def deliver(self, frame_id, document):
+            if frame_id == 1:
+                raise OSError("disk full")
+            super().deliver(frame_id, document)
+
+    cfg = PipelineConfig(queue_capacity=1, extraction=ExtractionConfig(downsample_factor=1))
+    before = set(threading.enumerate())
+    raised = []
+
+    def run():
+        try:
+            run_pipeline((small_frame(i) for i in range(50)), BrokenSink(), cfg)
+        except OSError as e:
+            raised.append(e)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(10.0)
+    assert not runner.is_alive()
+    assert [str(e) for e in raised] == ["disk full"]
+    left = [t for t in threading.enumerate() if t.name == "mask-source" and t not in before]
+    assert left == []
+
+
 def test_stats_shape_and_latency_fields():
     stats = run_pipeline([small_frame(i) for i in range(3)], CaptureSink(), FAST_CFG)
     payload = stats.to_dict()
@@ -155,6 +196,24 @@ def test_dir_source_reads_sorted_masks_and_sidecar_labels(tmp_path):
     assert isinstance(items[2], SourceFailure)
 
 
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (None, RoadClass.UNKNOWN),
+        ("{not json", RoadClass.UNKNOWN),
+        ('["highway"]', RoadClass.UNKNOWN),
+        ('{"road_class": "motorway"}', RoadClass.UNKNOWN),
+        ('{"lanes": 3}', RoadClass.UNKNOWN),
+        ('{"road_class": " City_Street "}', RoadClass.CITY_STREET),
+    ],
+)
+def test_read_road_class_falls_back_to_unknown(tmp_path, content, expected):
+    path = tmp_path / "side.json"
+    if content is not None:
+        path.write_text(content)
+    assert read_road_class(path) == expected
+
+
 def test_gen_source_is_deterministic_and_labelled():
     a = list(gen_source("3x320x240", seed=11))
     b = list(gen_source("3x320x240", seed=11))
@@ -189,12 +248,12 @@ def test_parse_address():
 
 
 def test_pipeline_config_round_trip_and_validation():
-    cfg = PipelineConfig(queue_capacity=4, worker_pool_size=2)
+    cfg = PipelineConfig(queue_capacity=4, extraction=ExtractionConfig(downsample_factor=2))
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError):
         PipelineConfig(queue_capacity=0)
     with pytest.raises(ValueError):
-        PipelineConfig(worker_pool_size=0)
+        PipelineConfig.from_dict({"worker_pool_size": 2})
 
 
 # --- served deployment ------------------------------------------------------
@@ -230,7 +289,7 @@ def test_loopback_answers_match_in_process_results():
     run_pipeline(frames, sink, PipelineConfig())
     expected = dict(sink.delivered)
 
-    thread, port, result = start_server(PipelineConfig(worker_pool_size=2))
+    thread, port, result = start_server(PipelineConfig(queue_capacity=2))
     client = PipelineClient(f"127.0.0.1:{port}")
     try:
         answers = {}

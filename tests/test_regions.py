@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lanespace import regions
 from lanespace.clustering import ClusterParams
 from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample, extract_points
 from lanespace.geometry import (
@@ -26,6 +27,7 @@ from lanespace.regions import (
     extract_regions,
     resolve_overlaps,
 )
+from lanespace.scenes import generate, sample_spec
 
 
 def square(x0, y0, side):
@@ -179,28 +181,66 @@ def test_three_lane_mask_recovers_all_sides():
     assert rs.ego.lane == LANE_EGO
 
 
-def test_parallel_flag_does_not_change_the_result():
-    mask = three_lane_mask()
-    seq = extract_regions(mask, ExtractionConfig(parallel_classes=False))
-    par = extract_regions(mask, ExtractionConfig(parallel_classes=True))
-    for a, b in [(seq.ego, par.ego), (seq.left, par.left), (seq.right, par.right)]:
-        assert (a is None) == (b is None)
-        if a is not None:
+SERIAL_ONLY = 10**12  # no mask has this many points, so never two threads
+ALWAYS_THREADED = 0
+
+
+def branch_masks():
+    yield three_lane_mask()
+    for seed in range(3):
+        yield generate(sample_spec(seed, width=320, height=240, noise_rate=0.01))[0]
+
+
+def frame_document(mask):
+    rs = extract_regions(mask, ExtractionConfig(downsample_factor=2))
+    advice = advise(RoadClass.HIGHWAY, rs)
+    return document_bytes(build_document(3, RoadClass.HIGHWAY, rs, advice.as_dict()))
+
+
+def test_serial_and_threaded_branches_give_identical_regions(monkeypatch):
+    for mask in branch_masks():
+        monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", SERIAL_ONLY)
+        seq = extract_regions(mask)
+        monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", ALWAYS_THREADED)
+        par = extract_regions(mask)
+        assert len(seq.present()) == len(par.present())
+        for a, b in zip(seq.present(), par.present()):
+            assert a.lane == b.lane
             assert len(a.pieces) == len(b.pieces)
             for pa, pb in zip(a.pieces, b.pieces):
                 assert np.array_equal(pa, pb)
 
 
-def test_documents_are_byte_identical_across_runs():
+def test_documents_are_byte_identical_across_runs(monkeypatch):
+    for mask in branch_masks():
+        docs = []
+        for threshold in (ALWAYS_THREADED, SERIAL_ONLY, ALWAYS_THREADED):
+            monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", threshold)
+            docs.append(frame_document(mask))
+        assert docs[0] == docs[1] == docs[2]
+
+
+def test_the_smaller_class_point_count_picks_the_branch(monkeypatch):
+    helpers = []
+
+    class RecordingExecutor(regions.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            helpers.append(self)
+
+    monkeypatch.setattr(regions, "ThreadPoolExecutor", RecordingExecutor)
     mask = three_lane_mask()
-    docs = []
-    for parallel in (True, False, True):
-        rs = extract_regions(mask, ExtractionConfig(parallel_classes=parallel))
-        advice = advise(RoadClass.HIGHWAY, rs)
-        docs.append(
-            document_bytes(build_document(3, RoadClass.HIGHWAY, rs, advice.as_dict()))
-        )
-    assert docs[0] == docs[1] == docs[2]
+    small = downsample(mask, ExtractionConfig().downsample_factor)
+    fewest = min(
+        len(extract_points(small, ClassId.EGO_LANE)),
+        len(extract_points(small, ClassId.OTHER_LANES)),
+    )
+    monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", fewest + 1)
+    extract_regions(mask)
+    assert helpers == []
+    monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", fewest)
+    extract_regions(mask)
+    assert len(helpers) == 1
 
 
 def test_vertices_scale_back_into_image_bounds():

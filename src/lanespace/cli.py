@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -57,14 +56,6 @@ def _load_config(path: str | None) -> PipelineConfig:
         return PipelineConfig.from_dict(json.load(f))
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    """The --config file's settings with the command-line --queue applied."""
-    cfg = _load_config(args.config)
-    if args.queue is not None:
-        cfg = dataclasses.replace(cfg, queue_capacity=args.queue)
-    return cfg
-
-
 def _emit(payload: dict[str, Any], out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out is None:
@@ -73,11 +64,11 @@ def _emit(payload: dict[str, Any], out: str | None) -> None:
         Path(out).write_text(text + "\n")
 
 
-def _report(args, **body: Any) -> dict[str, Any]:
+def _report(args, cfg: PipelineConfig, **body: Any) -> dict[str, Any]:
     return {
         "version": __version__,
         "seed": args.seed,
-        "config": _load_config(args.config).to_dict(),
+        "config": cfg.to_dict(),
         **body,
     }
 
@@ -120,7 +111,7 @@ def cmd_process(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = _load_config(args.config)
     if args.source.startswith("tcp:"):
         extra = None if args.sink == "null" else make_sink(args.sink)
         stats = serve(args.source[len("tcp:") :], cfg, extra_sink=extra)
@@ -130,8 +121,7 @@ def cmd_run(args) -> int:
             stats = run_pipeline(make_source(args.source, args.seed), sink, cfg)
         finally:
             sink.close()
-    report = _report(args, source=args.source, sink=args.sink, stats=stats.to_dict())
-    report["config"] = cfg.to_dict()
+    report = _report(args, cfg, source=args.source, sink=args.sink, stats=stats.to_dict())
     _emit(report, args.stats or args.out)
     return 0
 
@@ -181,6 +171,7 @@ def cmd_eval(args) -> int:
     }
     report = _report(
         args,
+        _load_config(args.config),
         per_class_iou=per_class,
         miou=miou(totals),
         accuracy=accuracy(pred_classes, gt_classes) if gt_classes else None,
@@ -227,6 +218,7 @@ def cmd_loss_check(args) -> int:
     worst = max(result["max_rel_error"].values())
     report = _report(
         args,
+        _load_config(args.config),
         gradient_check=result,
         tolerance=GRADIENT_TOLERANCE,
         passed=bool(worst <= GRADIENT_TOLERANCE),
@@ -236,7 +228,7 @@ def cmd_loss_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = _load_config(args.config)
     spec = f"{args.frames}x{args.width}x{args.height}"
     if args.noise is not None:
         spec += f"@{args.noise}"
@@ -244,10 +236,10 @@ def cmd_bench(args) -> int:
     measured = run_pipeline(gen_source(spec, args.seed), NullSink(), cfg)
     report = _report(
         args,
+        cfg,
         warmup={"frames": args.warmup, "throughput_fps": warm.throughput_fps},
         stats=measured.to_dict(),
     )
-    report["config"] = cfg.to_dict()
     _emit(report, args.out)
     return 0
 
@@ -274,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[shared], help="stream masks through the pipeline")
     p.add_argument("--source", required=True, help="dir:<path>, gen:<N[xWxH][@noise]>, or tcp:<host:port> to serve")
     p.add_argument("--sink", default="null", help="dir:<path>, tcp:<host:port>, or null")
-    p.add_argument("--queue", type=int, help="queue capacity override")
     p.add_argument("--stats", help="write the stats report here")
     p.set_defaults(func=cmd_run)
 
@@ -302,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--height", type=int, default=480)
     p.add_argument("--noise", type=float)
-    p.add_argument("--queue", type=int)
     p.set_defaults(func=cmd_bench)
     return parser
 

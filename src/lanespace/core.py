@@ -56,7 +56,8 @@ class SegmentationMask:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.data, dtype=np.uint8)
+        # A private copy: freezing it leaves the caller's array writable.
+        d = np.array(self.data, dtype=np.uint8)
         if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
             raise ValueError(f"mask must be a 2-D grid, got shape {d.shape}")
         if d.max(initial=0) > max(ClassId):
@@ -96,4 +97,4 @@ def downsample(mask: SegmentationMask, factor: int) -> SegmentationMask:
         raise ValueError(f"downsample factor must be a positive integer, got {factor!r}")
     if factor == 1:
         return mask
-    return SegmentationMask(mask.data[::factor, ::factor].copy())
+    return SegmentationMask(mask.data[::factor, ::factor])

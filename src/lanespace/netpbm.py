@@ -62,7 +62,7 @@ def read_mask(path: str | os.PathLike) -> SegmentationMask:
         )
     data = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
     try:
-        return SegmentationMask(data.copy())
+        return SegmentationMask(data)
     except ValueError as e:
         raise PnmError(str(e)) from None
 

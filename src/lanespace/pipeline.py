@@ -1,10 +1,10 @@
-"""Two-stage bounded pipeline and the binary frame protocol.
+"""The frame pipeline, its sources and sinks, and the binary frame protocol.
 
-Stage 1 (a producer thread) acquires and decodes mask frames; stage 2 (the
-calling thread) extracts regions one frame at a time. Stages communicate
-through a bounded queue and a token semaphore keeps at most
-2 * queue_capacity frames in flight, so backpressure blocks instead of
-dropping. Output order equals input order.
+One loop on the calling thread reads a frame from the source, extracts its
+regions and hands the document to the sink before it reads the next, so one
+frame is in flight and output order equals input order. Backpressure is the
+loop not asking for the next frame; when served over TCP, it is the socket's
+flow control.
 """
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ import json
 import os
 import socket
 import struct
-import threading
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from queue import Queue
 from typing import Any, Callable
 
 import numpy as np
@@ -75,7 +73,7 @@ class MaskPayload:
 
     def to_mask(self) -> SegmentationMask:
         data = np.frombuffer(self.mask_bytes, dtype=np.uint8)
-        return SegmentationMask(data.reshape(self.height, self.width).copy())
+        return SegmentationMask(data.reshape(self.height, self.width))
 
 
 @dataclass(frozen=True)
@@ -335,12 +333,7 @@ class TeeSink:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    queue_capacity: int = 8
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
-
-    def __post_init__(self) -> None:
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
@@ -353,10 +346,7 @@ class PipelineConfig:
             raise ValueError(f"bad pipeline config: {e}") from None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "queue_capacity": self.queue_capacity,
-            "extraction": self.extraction.to_dict(),
-        }
+        return {"extraction": self.extraction.to_dict()}
 
 
 @dataclass
@@ -368,7 +358,6 @@ class PipelineStats:
     latency_ms_min: float | None = None
     latency_ms_mean: float | None = None
     latency_ms_p99: float | None = None
-    max_in_flight: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -381,103 +370,38 @@ class PipelineStats:
                 "mean": self.latency_ms_mean,
                 "p99": self.latency_ms_p99,
             },
-            "max_in_flight": self.max_in_flight,
         }
-
-
-class _InFlightGauge:
-    def __init__(self, limit: int):
-        self.sem = threading.Semaphore(limit)
-        self.lock = threading.Lock()
-        self.current = 0
-        self.peak = 0
-
-    def acquire(self) -> None:
-        self.sem.acquire()
-        with self.lock:
-            self.current += 1
-            self.peak = max(self.peak, self.current)
-
-    def release(self) -> None:
-        with self.lock:
-            self.current -= 1
-        self.sem.release()
 
 
 def run_pipeline(
     source: Iterable[SourceFrame | SourceFailure],
     sink,
     cfg: PipelineConfig | None = None,
-    observe: Callable[[SourceFrame], None] | None = None,
 ) -> PipelineStats:
     """Drive every source frame through extraction to the sink, in order.
 
-    `observe` is a test hook called by stage 1 after each successful decode.
-    An exception from the source is raised here once stage 1 has ended; one
-    from extraction or the sink stops stage 1 before it is re-raised.
+    One frame is in flight: the source is asked for the next frame only after
+    the sink has taken the previous one. A frame's latency runs from that
+    request to the sink's return. Exceptions from the source, extraction or
+    the sink end the run unchanged.
     """
     cfg = cfg or PipelineConfig()
     stats = PipelineStats()
-    gauge = _InFlightGauge(2 * cfg.queue_capacity)
-    frames: Queue = Queue(maxsize=cfg.queue_capacity)
-    failures = 0
-    source_errors: list[Exception] = []
-    stop = threading.Event()
-    t_start = time.perf_counter()
-
-    def produce() -> None:
-        nonlocal failures
-        try:
-            it = iter(source)
-            while True:
-                # The token gates decoding of the next frame, so frames that
-                # exist but are not yet delivered never exceed the bound.
-                gauge.acquire()
-                item = None if stop.is_set() else next(it, None)
-                if item is None:
-                    gauge.release()
-                    break
-                if isinstance(item, SourceFailure):
-                    failures += 1
-                    gauge.release()
-                    continue
-                if observe is not None:
-                    observe(item)
-                frames.put((item, time.perf_counter()))
-        except Exception as e:
-            source_errors.append(e)
-        finally:
-            frames.put(None)
-
-    producer = threading.Thread(target=produce, name="mask-source", daemon=True)
-    producer.start()
-
     latencies: list[float] = []
-    try:
-        while (got := frames.get()) is not None:
-            frame, t_in = got
-            regions = extract_regions(frame.mask, cfg.extraction)
-            advice = advise(frame.road_class, regions)
-            doc = build_document(frame.frame_id, frame.road_class, regions, advice.as_dict())
-            sink.deliver(frame.frame_id, document_bytes(doc))
+    t_start = t_in = time.perf_counter()
+    for item in source:
+        if isinstance(item, SourceFailure):
+            stats.errors += 1
+        else:
+            regions = extract_regions(item.mask, cfg.extraction)
+            advice = advise(item.road_class, regions)
+            doc = build_document(item.frame_id, item.road_class, regions, advice.as_dict())
+            sink.deliver(item.frame_id, document_bytes(doc))
             latencies.append((time.perf_counter() - t_in) * 1000.0)
-            gauge.release()
             stats.frames_processed += 1
-    except BaseException:
-        # Draining frees queue slots and tokens, so a blocked producer wakes,
-        # sees the stop flag and sends its end marker.
-        stop.set()
-        while frames.get() is not None:
-            gauge.release()
-        producer.join()
-        raise
-    producer.join()
-    if source_errors:
-        raise source_errors[0]
+        t_in = time.perf_counter()
 
-    stats.errors = failures
     stats.elapsed_s = time.perf_counter() - t_start
-    stats.max_in_flight = gauge.peak
     if stats.elapsed_s > 0:
         stats.throughput_fps = stats.frames_processed / stats.elapsed_s
     if latencies:

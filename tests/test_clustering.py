@@ -1,7 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lanespace.clustering import NOISE, ClusterParams, dbscan, dbscan_bruteforce
+from lanespace.clustering import (
+    NOISE,
+    ClusterParams,
+    dbscan,
+    dbscan_bruteforce,
+    dbscan_lattice,
+    lattice_exact,
+)
+from lanespace.core import SegmentationMask, extract_points
 
 
 def partition_of(labels: np.ndarray) -> tuple[frozenset, frozenset]:
@@ -135,3 +147,77 @@ def test_partition_is_permutation_invariant_without_border_ties():
         unshuffled[perm] = shuffled_labels
         assert partition_of(unshuffled) == base
         checked += 1
+
+
+# --- lattice form -------------------------------------------------------------
+
+LATTICE_EPS = (math.sqrt(2), 1.5, 1.99)
+
+
+def grid_labels(member: np.ndarray, params: ClusterParams) -> np.ndarray:
+    """`dbscan` over the True pixels in row-major order, laid out as an image."""
+    points = extract_points(SegmentationMask(member.astype(np.uint8)), 1)
+    image = np.full(member.shape, NOISE, dtype=np.int64)
+    image[points[:, 1].astype(int), points[:, 0].astype(int)] = dbscan(points, params)
+    return image
+
+
+@st.composite
+def lattice_cases(draw):
+    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    density = draw(st.floats(0.05, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    member = rng.random((h, w)) < density
+    if draw(st.booleans()):
+        # A full frame puts core and border pixels on every image edge.
+        member[[0, -1], :] = True
+        member[:, [0, -1]] = True
+    params = ClusterParams(
+        eps=draw(st.sampled_from(LATTICE_EPS)),
+        min_pts=draw(st.integers(1, 9)),
+        min_cluster_size=draw(st.integers(3, 20)),
+    )
+    return member, params
+
+
+@given(lattice_cases())
+def test_lattice_labels_equal_grid_labels(case):
+    member, params = case
+    assert np.array_equal(dbscan_lattice(member, params), grid_labels(member, params))
+
+
+def test_lattice_border_pixel_takes_the_lowest_adjacent_cluster():
+    # Two 2x2 blocks of cores, joined only through the border pixel (2, 2):
+    # it neighbours a core of each and goes to cluster 0, the first to reach it.
+    member = np.array(
+        [
+            [1, 1, 0, 0, 0],
+            [1, 1, 0, 0, 0],
+            [0, 0, 1, 0, 0],
+            [0, 0, 0, 1, 1],
+            [0, 0, 0, 1, 1],
+        ],
+        dtype=bool,
+    )
+    params = ClusterParams(eps=1.5, min_pts=4, min_cluster_size=3)
+    labels = dbscan_lattice(member, params)
+    assert labels[2, 2] == 0
+    assert labels[0, 0] == 0 and labels[4, 4] == 1
+    assert np.array_equal(labels, grid_labels(member, params))
+
+
+def test_lattice_range_is_sqrt2_up_to_2():
+    assert lattice_exact(ClusterParams(eps=math.sqrt(2)))
+    assert lattice_exact(ClusterParams(eps=1.5))
+    assert lattice_exact(ClusterParams(eps=1.99))
+    assert not lattice_exact(ClusterParams(eps=1.41))
+    assert not lattice_exact(ClusterParams(eps=2.0))
+    assert not lattice_exact(ClusterParams(eps=2.5))
+    with pytest.raises(ValueError):
+        dbscan_lattice(np.ones((3, 3), dtype=bool), ClusterParams(eps=2.0))
+
+
+def test_lattice_of_an_empty_grid_is_all_noise():
+    labels = dbscan_lattice(np.zeros((4, 5), dtype=bool), ClusterParams())
+    assert labels.shape == (4, 5)
+    assert (labels == NOISE).all()

@@ -72,13 +72,14 @@ def test_output_order_equals_input_order():
 def test_documents_identical_on_both_extraction_branches(monkeypatch):
     frames = list(gen_source("5x320x240@0.01", seed=3))
     outputs = {}
-    for threshold in (0, 10**12):  # always two threads, never
-        monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", threshold)
+    for lattice in (True, False):  # lattice DBSCAN, then grid DBSCAN
+        if not lattice:
+            monkeypatch.setattr(regions, "lattice_exact", lambda params: False)
         sink = CaptureSink()
         run_pipeline(frames, sink, PipelineConfig())
-        outputs[threshold] = sink.delivered
-    assert outputs[0] == outputs[10**12]
-    assert len(outputs[0]) == 5
+        outputs[lattice] = sink.delivered
+    assert outputs[True] == outputs[False]
+    assert len(outputs[True]) == 5
 
 
 def test_order_survives_a_jittery_source_and_slow_sink():
@@ -173,16 +174,33 @@ def test_stats_shape_and_latency_fields():
         "elapsed_s",
         "throughput_fps",
         "latency_ms",
+        "service_ms",
     }
-    assert payload["latency_ms"]["min"] > 0
-    assert payload["latency_ms"]["p99"] >= payload["latency_ms"]["min"]
+    for key in ("latency_ms", "service_ms"):
+        assert set(payload[key]) == {"min", "mean", "p99"}
+        assert payload[key]["min"] > 0
+        assert payload[key]["p99"] >= payload[key]["mean"] >= payload[key]["min"]
+    assert payload["service_ms"]["mean"] <= payload["latency_ms"]["mean"]
     assert payload["throughput_fps"] > 0
+
+
+def test_service_time_leaves_out_the_wait_for_the_source():
+    def slow_source():
+        for i in range(4):
+            time.sleep(0.05)
+            yield small_frame(i)
+
+    stats = run_pipeline(slow_source(), CaptureSink(), FAST_CFG)
+    assert stats.frames_processed == 4
+    assert stats.latency_ms_mean >= 50.0
+    assert stats.service_ms_mean < 10.0
 
 
 def test_empty_source_yields_empty_stats():
     stats = run_pipeline([], CaptureSink(), FAST_CFG)
     assert stats.frames_processed == 0
     assert stats.latency_ms_mean is None
+    assert stats.service_ms_mean is None
 
 
 # --- sources ----------------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lanespace import regions
-from lanespace.clustering import ClusterParams
+from lanespace.clustering import ClusterParams, dbscan
 from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample, extract_points
 from lanespace.geometry import (
     convex_hull,
@@ -181,10 +185,6 @@ def test_three_lane_mask_recovers_all_sides():
     assert rs.ego.lane == LANE_EGO
 
 
-SERIAL_ONLY = 10**12  # no mask has this many points, so never two threads
-ALWAYS_THREADED = 0
-
-
 def branch_masks():
     yield three_lane_mask()
     for seed in range(3):
@@ -197,50 +197,98 @@ def frame_document(mask):
     return document_bytes(build_document(3, RoadClass.HIGHWAY, rs, advice.as_dict()))
 
 
-def test_serial_and_threaded_branches_give_identical_regions(monkeypatch):
-    for mask in branch_masks():
-        monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", SERIAL_ONLY)
-        seq = extract_regions(mask)
-        monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", ALWAYS_THREADED)
-        par = extract_regions(mask)
-        assert len(seq.present()) == len(par.present())
-        for a, b in zip(seq.present(), par.present()):
-            assert a.lane == b.lane
-            assert len(a.pieces) == len(b.pieces)
-            for pa, pb in zip(a.pieces, b.pieces):
-                assert np.array_equal(pa, pb)
+def assert_same_regions(a, b):
+    assert len(a.present()) == len(b.present())
+    for ra, rb in zip(a.present(), b.present()):
+        assert ra.lane == rb.lane
+        assert len(ra.pieces) == len(rb.pieces)
+        for pa, pb in zip(ra.pieces, rb.pieces):
+            assert np.array_equal(pa, pb)
 
 
-def test_documents_are_byte_identical_across_runs(monkeypatch):
+def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster():
+    cfg = ExtractionConfig()
+    min_area = cfg.min_region_area / cfg.downsample_factor**2
     for mask in branch_masks():
-        docs = []
-        for threshold in (ALWAYS_THREADED, SERIAL_ONLY, ALWAYS_THREADED):
-            monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", threshold)
-            docs.append(frame_document(mask))
+        small = downsample(mask, cfg.downsample_factor)
+        for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
+            points = extract_points(small, cls)
+            labels = dbscan(points, cfg.cluster)
+            expected = [
+                hull
+                for hull in (
+                    convex_hull(points[labels == k]) for k in range(labels.max() + 1)
+                )
+                if hull is not None and polygon_area(hull) >= min_area
+            ]
+            labels = regions._cluster_labels(small, cls, cfg.cluster)
+            got = [
+                hull
+                for hull in map(convex_hull, regions._row_extremes_per_label(labels))
+                if hull is not None and polygon_area(hull) >= min_area
+            ]
+            assert len(got) == len(expected) > 0
+            for g, e in zip(got, expected):
+                assert np.array_equal(g, e)
+
+
+def test_lattice_and_grid_paths_give_identical_regions(monkeypatch):
+    for mask in branch_masks():
+        lattice = extract_regions(mask)
+        with monkeypatch.context() as m:
+            m.setattr(regions, "lattice_exact", lambda params: False)
+            grid = extract_regions(mask)
+        assert_same_regions(lattice, grid)
+
+
+def test_documents_are_byte_identical_across_runs():
+    for mask in branch_masks():
+        docs = [frame_document(mask) for _ in range(3)]
         assert docs[0] == docs[1] == docs[2]
 
 
-def test_the_smaller_class_point_count_picks_the_branch(monkeypatch):
-    helpers = []
+def test_eps_picks_the_clustering_path(monkeypatch):
+    calls = []
+    for name in ("dbscan", "dbscan_lattice"):
+        original = getattr(regions, name)
+        monkeypatch.setattr(
+            regions, name, lambda *a, name=name, f=original: calls.append(name) or f(*a)
+        )
+    for eps, path in ((1.5, "dbscan_lattice"), (2.5, "dbscan")):
+        calls.clear()
+        rs = extract_regions(three_lane_mask(), ExtractionConfig(cluster=ClusterParams(eps=eps)))
+        assert calls == [path, path]  # one call per class
+        assert rs.ego is not None and rs.left is not None and rs.right is not None
+        pieces = [p for region in rs.present() for p in region.pieces]
+        for piece in pieces:
+            assert polygon_area(piece) > 0
+        for i, a in enumerate(pieces):
+            for b in pieces[i + 1 :]:
+                inter = convex_intersection(a, b)
+                assert inter is None or polygon_area(inter) < 1e-6
 
-    class RecordingExecutor(regions.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            helpers.append(self)
 
-    monkeypatch.setattr(regions, "ThreadPoolExecutor", RecordingExecutor)
-    mask = three_lane_mask()
-    small = downsample(mask, ExtractionConfig().downsample_factor)
-    fewest = min(
-        len(extract_points(small, ClassId.EGO_LANE)),
-        len(extract_points(small, ClassId.OTHER_LANES)),
+def test_default_extraction_leaves_scipy_sparse_unloaded():
+    # The lattice path needs only scipy.ndimage; scipy.sparse is for `dbscan`.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import lanespace.pipeline\n"
+        "from lanespace.core import SegmentationMask\n"
+        "from lanespace.regions import extract_regions\n"
+        "grid = np.zeros((64, 64), dtype=np.uint8)\n"
+        "grid[8:60, 8:30] = 1\n"
+        "grid[8:60, 34:56] = 2\n"
+        "assert extract_regions(SegmentationMask(grid)).ego is not None\n"
+        "print('scipy.sparse' in sys.modules)\n"
     )
-    monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", fewest + 1)
-    extract_regions(mask)
-    assert helpers == []
-    monkeypatch.setattr(regions, "PARALLEL_MIN_POINTS", fewest)
-    extract_regions(mask)
-    assert len(helpers) == 1
+    src = str(Path(regions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_vertices_scale_back_into_image_bounds():

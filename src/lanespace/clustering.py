@@ -116,8 +116,8 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> np.ndarray:
     # Core: the 3x3 box holds at least min_pts members, the pixel included;
     # outside the grid counts as empty.
     padded = np.pad(member.view(np.uint8), 1)
-    rows = padded[:-2] + padded[1:-1] + padded[2:]
-    counts = rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
+    columns = padded[:-2] + padded[1:-1] + padded[2:]
+    counts = columns[:, :-2] + columns[:, 1:-1] + columns[:, 2:]
     core = member & (counts >= params.min_pts)
     # Clusters are 8-connected components of the core pixels. Raster order
     # numbers them by their first core pixel, as the sequential scan does.
@@ -130,7 +130,7 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> np.ndarray:
         rows = (np.maximum(ys - 1, 0), ys, np.minimum(ys + 1, h - 1))
         cols = (np.maximum(xs - 1, 0), xs, np.minimum(xs + 1, w - 1))
         near = np.stack([labels[r, c] for r in rows for c in cols])
-        best = np.where(near > 0, near, n_clusters + 1).min(axis=0, initial=n_clusters + 1)
+        best = np.where(near > 0, near, n_clusters + 1).min(axis=0)
         hit = best <= n_clusters
         labels[ys[hit], xs[hit]] = best[hit]
     labels -= 1  # background 0 becomes NOISE, clusters count from 0

@@ -65,7 +65,7 @@ def convex_hull(points: np.ndarray) -> np.ndarray | None:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
             upper.pop()
         upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1], dtype=np.float64)
+    hull = np.array(lower[:-1] + upper[:-1])
     if len(hull) < 3 or signed_area(hull) <= EPS_AREA:
         return None
     return hull

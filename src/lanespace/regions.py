@@ -2,14 +2,12 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy import ndimage
 
-from .clustering import NOISE, ClusterParams, dbscan, dbscan_lattice, lattice_exact
+from .clustering import ClusterParams, Spans, dbscan, dbscan_lattice, lattice_exact
 from .core import ClassId, RoadClass, SegmentationMask, downsample, extract_points, road_class_name
 from .geometry import (
     EPS_AREA,
@@ -157,36 +155,45 @@ def assign_sides(
     return left, right, ()
 
 
-def _row_extremes_per_label(labels: np.ndarray) -> Iterator[np.ndarray]:
-    """Per cluster of a label image, in label order, the (x, y) of the
-    leftmost and rightmost pixel of each row it occupies.
+def _cluster_spans(
+    small: SegmentationMask, class_id: ClassId, params: ClusterParams
+) -> Spans:
+    """DBSCAN of one class's pixels, as row spans of its clustered pixels."""
+    if lattice_exact(params):
+        return dbscan_lattice(small.data == int(class_id), params)
+    points = extract_points(small, class_id)
+    labels = dbscan(points, params)
+    kept = labels >= 0
+    xs, ys = points[kept].astype(np.int64).T
+    return Spans(labels[kept], ys, xs, xs)
+
+
+def _row_extremes(spans: Spans) -> list[np.ndarray]:
+    """Per cluster, in label order, the (x, y) of the leftmost and rightmost
+    pixel of each row it occupies.
 
     A cluster's hull is the hull of these points: every other pixel of a row
     lies between the two.
     """
-    for label, (rows, cols) in enumerate(ndimage.find_objects(labels + 1)):
-        inside = labels[rows, cols] == label
-        occupied = inside.any(axis=1)
-        inside = inside[occupied]
-        left = inside.argmax(axis=1) + cols.start
-        right = cols.stop - 1 - inside[:, ::-1].argmax(axis=1)
-        ys = np.flatnonzero(occupied) + rows.start
-        yield np.column_stack(
-            [np.concatenate([left, right]), np.concatenate([ys, ys])]
-        ).astype(np.float64)
-
-
-def _cluster_labels(
-    small: SegmentationMask, class_id: ClassId, params: ClusterParams
-) -> np.ndarray:
-    """DBSCAN labels of one class's pixels, as an image (NOISE elsewhere)."""
-    member = small.data == int(class_id)
-    if lattice_exact(params):
-        return dbscan_lattice(member, params)
-    labels = np.full(member.shape, NOISE, dtype=np.int64)
-    # Boolean assignment fills in row-major order, the order of extract_points.
-    labels[member] = dbscan(extract_points(small, class_id), params)
-    return labels
+    # Spans of one cluster and row are disjoint, so sorting them by first
+    # also sorts them by last: a group's first span holds its leftmost pixel
+    # and its last span its rightmost.
+    order = np.lexsort((spans.first, spans.y, spans.label))
+    if not len(order):
+        return []
+    label, y = spans.label[order], spans.y[order]
+    fresh = np.ones(len(order) + 1, dtype=bool)
+    fresh[1:-1] = (label[1:] != label[:-1]) | (y[1:] != y[:-1])
+    bounds = np.flatnonzero(fresh)
+    heads = bounds[:-1]
+    left = spans.first[order[heads]]
+    right = spans.last[order[bounds[1:] - 1]]
+    rows = y[heads]
+    cuts = np.flatnonzero(np.diff(label[heads])) + 1
+    return [
+        np.column_stack([np.concatenate([lx, rx]), np.concatenate([ry, ry])]).astype(np.float64)
+        for lx, rx, ry in zip(*(np.split(v, cuts) for v in (left, right, rows)))
+    ]
 
 
 def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None) -> RegionSet:
@@ -194,7 +201,9 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
 
     Each class is clustered on the downsampled pixel grid, ego first: by
     `dbscan_lattice` when eps is in [sqrt(2), 2) (the default 1.5), otherwise
-    by `dbscan` over the class's pixel coordinates.
+    by `dbscan` over the class's pixel coordinates. Either way each cluster
+    comes out as row spans, and its hull is built from the leftmost and
+    rightmost span end of every row it occupies.
     """
     cfg = cfg or ExtractionConfig()
     factor = cfg.downsample_factor
@@ -204,8 +213,7 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
     min_area_small = cfg.min_region_area / float(factor * factor)
     ordered: list[tuple[ClassId, list[np.ndarray]]] = []
     for class_id in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
-        labels = _cluster_labels(small, class_id, cfg.cluster)
-        for extremes in _row_extremes_per_label(labels):
+        for extremes in _row_extremes(_cluster_spans(small, class_id, cfg.cluster)):
             hull = convex_hull(extremes)
             if hull is not None and polygon_area(hull) >= min_area_small:
                 ordered.append((class_id, [hull]))

@@ -35,6 +35,11 @@ class LaneBand:
         return xl, xr
 
 
+def _check_size(width: int, height: int) -> None:
+    if width < 16 or height < 16:
+        raise ValueError("scene must be at least 16x16")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     width: int
@@ -46,8 +51,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width < 16 or self.height < 16:
-            raise ValueError("scene must be at least 16x16")
+        _check_size(self.width, self.height)
         if not 0.0 <= self.noise_rate <= 0.05:
             raise ValueError(f"noise_rate must be in [0, 0.05], got {self.noise_rate}")
         if not 1 <= len(self.lanes) <= 3:
@@ -181,6 +185,7 @@ def sample_spec(
     of at least 36 px, shrinking toward a vanishing center by 0.40-0.55, so
     stride-4 sampling never merges lanes and hull shrinkage stays small.
     """
+    _check_size(width, height)
     rng = np.random.default_rng(seed)
     u = width / 640.0
     nl = int(lane_count) if lane_count is not None else int(rng.integers(1, 4))

@@ -199,6 +199,12 @@ def test_run_rejects_a_bad_source(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0x0", "2x2", "-5x10"])
+def test_run_rejects_a_generated_scene_below_16x16(size, capsys):
+    assert main(["run", "--source", f"gen:1x{size}", "--sink", "null"]) == 2
+    assert capsys.readouterr().err.strip() == "error: scene must be at least 16x16"
+
+
 def test_eval_of_identical_directories_is_perfect(tmp_path, capsys):
     scenes = tmp_path / "scenes"
     assert main(

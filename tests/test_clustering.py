@@ -154,6 +154,14 @@ def test_partition_is_permutation_invariant_without_border_ties():
 LATTICE_EPS = (math.sqrt(2), 1.5, 1.99)
 
 
+def lattice_labels(member: np.ndarray, params: ClusterParams) -> np.ndarray:
+    """`dbscan_lattice`'s spans painted into a label image (NOISE elsewhere)."""
+    image = np.full(member.shape, NOISE, dtype=np.int64)
+    for label, y, first, last in zip(*dbscan_lattice(member, params)):
+        image[y, first : last + 1] = label
+    return image
+
+
 def grid_labels(member: np.ndarray, params: ClusterParams) -> np.ndarray:
     """`dbscan` over the True pixels in row-major order, laid out as an image."""
     points = extract_points(SegmentationMask(member.astype(np.uint8)), 1)
@@ -183,7 +191,7 @@ def lattice_cases(draw):
 @given(lattice_cases())
 def test_lattice_labels_equal_grid_labels(case):
     member, params = case
-    assert np.array_equal(dbscan_lattice(member, params), grid_labels(member, params))
+    assert np.array_equal(lattice_labels(member, params), grid_labels(member, params))
 
 
 def test_lattice_border_pixel_takes_the_lowest_adjacent_cluster():
@@ -200,7 +208,7 @@ def test_lattice_border_pixel_takes_the_lowest_adjacent_cluster():
         dtype=bool,
     )
     params = ClusterParams(eps=1.5, min_pts=4, min_cluster_size=3)
-    labels = dbscan_lattice(member, params)
+    labels = lattice_labels(member, params)
     assert labels[2, 2] == 0
     assert labels[0, 0] == 0 and labels[4, 4] == 1
     assert np.array_equal(labels, grid_labels(member, params))
@@ -218,6 +226,62 @@ def test_lattice_range_is_sqrt2_up_to_2():
 
 
 def test_lattice_of_an_empty_grid_is_all_noise():
-    labels = dbscan_lattice(np.zeros((4, 5), dtype=bool), ClusterParams())
-    assert labels.shape == (4, 5)
-    assert (labels == NOISE).all()
+    spans = dbscan_lattice(np.zeros((4, 5), dtype=bool), ClusterParams())
+    assert all(len(field) == 0 for field in spans)
+
+
+def lattice(rows: list[str]) -> np.ndarray:
+    return np.array([[c != "." for c in row] for row in rows], dtype=bool)
+
+
+# With min_pts=1 every member is core, so the runs are exactly the rows' runs.
+EVERY_PIXEL_CORE = ClusterParams(eps=1.5, min_pts=1, min_cluster_size=3)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # Two runs that touch only at a corner join.
+        (["xxx...", "...xxx"], ["000...", "...000"]),
+        # Two runs one column apart do not join.
+        (["xxx....", "....xxx"], ["000....", "....111"]),
+        # A U whose arms meet only at the bottom: the left arm holds the first
+        # core pixel, so the whole U takes its number.
+        (
+            ["xx..xx", "xx..xx", "xx..xx", "xxxxxx"],
+            ["00..00", "00..00", "00..00", "000000"],
+        ),
+        # A run ending at the right edge does not join a run starting at the
+        # left edge of the next row, though they are adjacent in flat order.
+        ([".....xxx", "xxx....."], [".....000", "111....."]),
+    ],
+)
+def test_lattice_run_adjacency(rows, expected):
+    member = lattice(rows)
+    want = np.array(
+        [[NOISE if c == "." else int(c) for c in row] for row in expected], dtype=np.int64
+    )
+    assert np.array_equal(lattice_labels(member, EVERY_PIXEL_CORE), want)
+    assert np.array_equal(grid_labels(member, EVERY_PIXEL_CORE), want)
+
+
+def test_lattice_border_pixel_between_two_runs_of_its_row_takes_the_lower():
+    # (2, 1) has three members in its box and is not core; the runs on either
+    # side of it in row 1 are, and the left one holds the first core pixel.
+    member = lattice(["x...x", "xxxxx", "x...x"])
+    params = ClusterParams(eps=1.5, min_pts=4, min_cluster_size=3)
+    labels = lattice_labels(member, params)
+    assert labels.tolist() == [[0, -1, -1, -1, 1], [0, 0, 0, 1, 1], [0, -1, -1, -1, 1]]
+    assert np.array_equal(labels, grid_labels(member, params))
+
+
+def test_lattice_border_pixel_of_a_filtered_cluster_stays_noise():
+    # The border pixel (1, 2) neighbours the core of the top cluster (0, five
+    # pixels with it) and of the bottom one (ten pixels). The size filter
+    # removes the top cluster, and the pixel is not handed to the bottom one.
+    member = lattice(["xxx", ".x.", ".x.", ".x.", "xxx", "xxx", "xxx"])
+    params = ClusterParams(eps=1.5, min_pts=4, min_cluster_size=6)
+    labels = lattice_labels(member, params)
+    assert (labels[:3] == NOISE).all()
+    assert labels[3:].tolist() == [[-1, 0, -1]] + [[0, 0, 0]] * 3
+    assert np.array_equal(labels, grid_labels(member, params))

@@ -95,8 +95,9 @@ def test_hull_matches_brute_force_on_seeded_sets():
 
 
 def test_hull_prefilter_path_on_dense_lattice():
-    # More than 256 points triggers the per-row extremes prefilter; check the
-    # result against an independent hull implementation and containment.
+    # 2,000 points on a 120x90 lattice: many duplicates and long collinear
+    # rows. Check the result against an independent hull implementation and
+    # containment.
     from scipy.spatial import ConvexHull as SciHull
 
     rng = np.random.default_rng(3)

@@ -221,10 +221,10 @@ def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster():
                 )
                 if hull is not None and polygon_area(hull) >= min_area
             ]
-            labels = regions._cluster_labels(small, cls, cfg.cluster)
+            spans = regions._cluster_spans(small, cls, cfg.cluster)
             got = [
                 hull
-                for hull in map(convex_hull, regions._row_extremes_per_label(labels))
+                for hull in map(convex_hull, regions._row_extremes(spans))
                 if hull is not None and polygon_area(hull) >= min_area
             ]
             assert len(got) == len(expected) > 0
@@ -268,11 +268,11 @@ def test_eps_picks_the_clustering_path(monkeypatch):
                 assert inter is None or polygon_area(inter) < 1e-6
 
 
-def test_default_extraction_leaves_scipy_sparse_unloaded():
-    # The lattice path needs only scipy.ndimage; scipy.sparse is for `dbscan`.
+def test_default_path_loads_no_scipy():
     code = (
         "import sys\n"
         "import numpy as np\n"
+        "import lanespace.cli\n"
         "import lanespace.pipeline\n"
         "from lanespace.core import SegmentationMask\n"
         "from lanespace.regions import extract_regions\n"
@@ -280,7 +280,7 @@ def test_default_extraction_leaves_scipy_sparse_unloaded():
         "grid[8:60, 8:30] = 1\n"
         "grid[8:60, 34:56] = 2\n"
         "assert extract_regions(SegmentationMask(grid)).ego is not None\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = str(Path(regions.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -288,7 +288,7 @@ def test_default_extraction_leaves_scipy_sparse_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_vertices_scale_back_into_image_bounds():

@@ -245,11 +245,12 @@ EVERY_PIXEL_CORE = ClusterParams(eps=1.5, min_pts=1, min_cluster_size=3)
         (["xxx...", "...xxx"], ["000...", "...000"]),
         # Two runs one column apart do not join.
         (["xxx....", "....xxx"], ["000....", "....111"]),
-        # A U whose arms meet only at the bottom: the left arm holds the first
-        # core pixel, so the whole U takes its number.
+        # A U whose arms meet only at the bottom: its right arm holds its first
+        # core pixel, so the U is 0 and the block to its right, which starts
+        # in the same row but later, is 1.
         (
-            ["xx..xx", "xx..xx", "xx..xx", "xxxxxx"],
-            ["00..00", "00..00", "00..00", "000000"],
+            ["....xx.xx", "xx..xx.xx", "xx..xx...", "xxxxxx..."],
+            ["....00.11", "00..00.11", "00..00...", "000000..."],
         ),
         # A run ending at the right edge does not join a run starting at the
         # left edge of the next row, though they are adjacent in flat order.
@@ -266,12 +267,13 @@ def test_lattice_run_adjacency(rows, expected):
 
 
 def test_lattice_border_pixel_between_two_runs_of_its_row_takes_the_lower():
-    # (2, 1) has three members in its box and is not core; the runs on either
-    # side of it in row 1 are, and the left one holds the first core pixel.
-    member = lattice(["x...x", "xxxxx", "x...x"])
+    # (2, 2) is not core, and in its box only the runs on either side of it in
+    # row 2 are. The left run's cluster starts at (1, 2), the right run's at
+    # (4, 1), so the right one is cluster 0 and takes the pixel.
+    member = lattice(["....x.", "x...x.", "xxxxxx"])
     params = ClusterParams(eps=1.5, min_pts=4, min_cluster_size=3)
     labels = lattice_labels(member, params)
-    assert labels.tolist() == [[0, -1, -1, -1, 1], [0, 0, 0, 1, 1], [0, -1, -1, -1, 1]]
+    assert labels.tolist() == [[-1, -1, -1, -1, 0, -1], [1, -1, -1, -1, 0, -1], [1, 1, 0, 0, 0, 0]]
     assert np.array_equal(labels, grid_labels(member, params))
 
 

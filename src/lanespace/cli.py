@@ -77,9 +77,7 @@ def render_overlay(mask: SegmentationMask, regions: RegionSet) -> np.ndarray:
     """Region fills over a grayscale rendering of the input mask."""
     gray = (mask.data.astype(np.uint16) * _GRAY_PER_CLASS).astype(np.uint8)
     img = np.repeat(gray[:, :, None], 3, axis=2)
-    listed = [r for r in (regions.ego, regions.left, regions.right) if r is not None]
-    listed.extend(regions.unassigned)
-    for region in listed:
+    for region in regions.present():
         covered = rasterize_pieces(region.pieces, mask.width, mask.height)
         img[covered] = _LANE_COLORS[region.lane]
     return img
@@ -112,15 +110,14 @@ def cmd_process(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    if args.source.startswith("tcp:"):
-        extra = None if args.sink == "null" else make_sink(args.sink)
-        stats = serve(args.source[len("tcp:") :], cfg, extra_sink=extra)
-    else:
-        sink = make_sink(args.sink)
-        try:
+    sink = make_sink(args.sink)
+    try:
+        if args.source.startswith("tcp:"):
+            stats = serve(args.source[len("tcp:") :], cfg, extra_sink=sink)
+        else:
             stats = run_pipeline(make_source(args.source, args.seed), sink, cfg)
-        finally:
-            sink.close()
+    finally:
+        sink.close()
     report = _report(args, cfg, source=args.source, sink=args.sink, stats=stats.to_dict())
     _emit(report, args.stats or args.out)
     return 0

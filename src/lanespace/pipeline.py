@@ -168,10 +168,14 @@ class SourceFailure:
 def dir_source(path: str | os.PathLike) -> Iterator[SourceFrame | SourceFailure]:
     """Masks from sorted *.pgm files; frame ids are positional.
 
-    A sibling <name>.json carrying a "road_class" key labels the frame.
+    A sibling <name>.json carrying a "road_class" key labels the frame. A
+    path that is not a directory raises NotADirectoryError; an empty
+    directory gives no frames.
     """
-    files = sorted(Path(path).glob("*.pgm"))
-    for frame_id, pgm in enumerate(files):
+    root = Path(path)
+    if not root.is_dir():
+        raise NotADirectoryError(f"source {path} is not a directory")
+    for frame_id, pgm in enumerate(sorted(root.glob("*.pgm"))):
         try:
             mask = read_mask(pgm)
         except (PnmError, OSError) as e:

@@ -101,34 +101,32 @@ def resolve_overlaps(
     tie going against the later entry. List order is the deterministic cluster
     order, so results do not depend on scheduling.
     """
-    entries: list[list[Any]] = [[cls, [np.array(p) for p in pieces]] for cls, pieces in regions]
-
-    def shrink_once() -> bool:
-        for ia in range(len(entries)):
-            for ib in range(ia + 1, len(entries)):
-                ca, pa_list = entries[ia]
-                cb, pb_list = entries[ib]
-                for na, pa in enumerate(pa_list):
-                    for nb, pb in enumerate(pb_list):
-                        inter = convex_intersection(pa, pb)
-                        if inter is None:
-                            continue
-                        ego_a = ca == ClassId.EGO_LANE
-                        ego_b = cb == ClassId.EGO_LANE
-                        if ego_a != ego_b:
-                            lose_a = ego_a
-                        else:
-                            lose_a = pieces_area(pa_list) < pieces_area(pb_list)
-                        if lose_a:
-                            pa_list[na : na + 1] = convex_subtract(pa, inter)
-                        else:
-                            pb_list[nb : nb + 1] = convex_subtract(pb, inter)
-                        return True
-        return False
-
-    while shrink_once():
-        pass
-    return [(cls, pieces) for cls, pieces in entries]
+    entries = [(cls, list(pieces)) for cls, pieces in regions]
+    # Ceding only shrinks pieces, so pairs already scanned stay disjoint and
+    # one forward scan meets the overlaps in the order a rescan would.
+    for ia, (ca, pa_list) in enumerate(entries):
+        for cb, pb_list in entries[ia + 1 :]:
+            na = nb = 0
+            while na < len(pa_list):
+                if nb == len(pb_list):
+                    na, nb = na + 1, 0
+                    continue
+                inter = convex_intersection(pa_list[na], pb_list[nb])
+                if inter is None:
+                    nb += 1
+                    continue
+                if (ca == ClassId.EGO_LANE) != (cb == ClassId.EGO_LANE):
+                    lose_a = ca == ClassId.EGO_LANE
+                else:
+                    lose_a = pieces_area(pa_list) < pieces_area(pb_list)
+                if lose_a:
+                    # Its first replacement is checked from the later
+                    # region's first piece again.
+                    pa_list[na : na + 1] = convex_subtract(pa_list[na], inter)
+                    nb = 0
+                else:
+                    pb_list[nb : nb + 1] = convex_subtract(pb_list[nb], inter)
+    return entries
 
 
 def assign_sides(
@@ -217,19 +215,14 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
             hull = convex_hull(extremes)
             if hull is not None and polygon_area(hull) >= min_area_small:
                 ordered.append((class_id, [hull]))
-    resolved = resolve_overlaps(ordered)
-
-    scaled: list[tuple[ClassId, list[np.ndarray]]] = []
-    for cls, pieces in resolved:
-        kept = [p * float(factor) for p in pieces if pieces_area([p]) > EPS_AREA]
-        if kept:
-            scaled.append((cls, kept))
-
     ego_region: DrivableRegion | None = None
     others: list[DrivableRegion] = []
-    for cls, pieces in scaled:
+    for cls, pieces in resolve_overlaps(ordered):
+        if not pieces:
+            continue  # ceded everything to other regions
         region = DrivableRegion.from_pieces(
-            LANE_EGO if cls == ClassId.EGO_LANE else LANE_UNASSIGNED, pieces
+            LANE_EGO if cls == ClassId.EGO_LANE else LANE_UNASSIGNED,
+            [p * float(factor) for p in pieces],
         )
         if cls == ClassId.EGO_LANE:
             if ego_region is None or region.area > ego_region.area:
@@ -263,12 +256,10 @@ def build_document(
     advice: dict[str, Any],
 ) -> dict[str, Any]:
     """Region output document; key order is part of the format."""
-    listed = [r for r in (regions.ego, regions.left, regions.right) if r is not None]
-    listed.extend(regions.unassigned)
     return {
         "frame_id": int(frame_id),
         "road_class": road_class_name(road_class),
-        "regions": [_region_entry(r) for r in listed],
+        "regions": [_region_entry(r) for r in regions.present()],
         "advice": advice,
     }
 

@@ -186,6 +186,8 @@ def sample_spec(
     stride-4 sampling never merges lanes and hull shrinkage stays small.
     """
     _check_size(width, height)
+    if width < 48:  # narrower layouts can squeeze the top lane gap under 1 px
+        raise ValueError("generated scenes must be at least 48 px wide")
     rng = np.random.default_rng(seed)
     u = width / 640.0
     nl = int(lane_count) if lane_count is not None else int(rng.integers(1, 4))

@@ -7,7 +7,7 @@ from lanespace import __version__, cli, regions
 from lanespace.cli import main
 from lanespace.core import ClassId, SegmentationMask
 from lanespace.netpbm import write_mask
-from lanespace.pipeline import make_source
+from lanespace.pipeline import PipelineStats, make_source
 
 
 def parse_ppm(path):
@@ -197,6 +197,46 @@ def test_run_rejects_a_config_with_unknown_keys(tmp_path, capsys):
 def test_run_rejects_a_bad_source(capsys):
     assert main(["run", "--source", "bogus:thing"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_run_rejects_a_missing_source_directory(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["run", "--source", f"dir:{missing}", "--sink", "null"]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    # An existing but empty directory is a valid run of no frames.
+    stats_file = tmp_path / "s.json"
+    assert main(["run", "--source", f"dir:{tmp_path}", "--stats", str(stats_file)]) == 0
+    assert json.loads(stats_file.read_text())["stats"]["frames_processed"] == 0
+
+
+class RecordingSink:
+    def __init__(self):
+        self.closed = False
+
+    def deliver(self, frame_id, document):
+        pass
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("serve_fails", [False, True])
+def test_run_closes_the_sink_of_a_served_pipeline(monkeypatch, capsys, serve_fails):
+    sink = RecordingSink()
+    served = []
+
+    def fake_serve(address, cfg, extra_sink=None):
+        served.append((address, extra_sink))
+        if serve_fails:
+            raise OSError("connection reset")
+        return PipelineStats()
+
+    monkeypatch.setattr(cli, "make_sink", lambda spec: sink)
+    monkeypatch.setattr(cli, "serve", fake_serve)
+    code = main(["run", "--source", "tcp:127.0.0.1:0", "--sink", "tcp:127.0.0.1:9"])
+    assert code == (2 if serve_fails else 0)
+    assert served == [("127.0.0.1:0", sink)]
+    assert sink.closed
 
 
 @pytest.mark.parametrize("size", ["0x0", "2x2", "-5x10"])

@@ -120,6 +120,23 @@ def test_output_regions_are_pairwise_disjoint():
             assert inter is None or polygon_area(inter) <= 1e-6
 
 
+def test_overlap_scan_never_goes_back(monkeypatch):
+    # Ten squares of one class, each overlapping the next three: a scan that
+    # restarts after every cut re-tests the disjoint pairs before it.
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return convex_intersection(a, b)
+
+    monkeypatch.setattr(regions, "convex_intersection", counted)
+    stair = [(ClassId.OTHER_LANES, [square(x, 0, 4)]) for x in range(10)]
+    out = resolve_overlaps(stair)
+    assert len(calls) <= 45  # one call per region pair
+    assert [len(pieces) for _, pieces in stair] == [1] * 10  # input lists untouched
+    assert abs(sum(pieces_area(p) for _, p in out) - 4 * 13) <= 1e-9
+
+
 # --- assign_sides -----------------------------------------------------------
 
 

@@ -160,6 +160,19 @@ def test_sample_spec_honours_overrides():
         sample_spec(3, lane_count=4)
 
 
+@pytest.mark.parametrize("width", [16, 32, 47])
+def test_sample_spec_rejects_scenes_narrower_than_48(width):
+    # At these widths the scaled lane gaps fall under 1 px for some draws.
+    with pytest.raises(ValueError, match="at least 48 px wide"):
+        sample_spec(0, width=width, height=480)
+
+
+def test_sample_spec_draws_valid_scenes_at_width_48():
+    for seed in range(200):
+        mask, _ = generate(sample_spec(seed, width=48, height=48))
+        assert mask.data.shape == (48, 48)
+
+
 def test_sampled_obstacles_stay_inside_their_lane():
     checked = 0
     for seed in range(40):

@@ -120,8 +120,7 @@ def resolve_overlaps(
                 else:
                     lose_a = pieces_area(pa_list) < pieces_area(pb_list)
                 if lose_a:
-                    # Its first replacement is checked from the later
-                    # region's first piece again.
+                    # Check the first replacement against all of pb_list.
                     pa_list[na : na + 1] = convex_subtract(pa_list[na], inter)
                     nb = 0
                 else:

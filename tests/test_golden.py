@@ -1,6 +1,7 @@
 """Golden-output gate: SHA-256 digests of the documents for a fixed corpus.
 
-The digests pin the exact bytes the default pipeline delivers. A change that
+The digests pin the exact bytes the default pipeline delivers, and the pieces
+resolve_overlaps leaves on a corpus of overlapping hulls. A change that
 is meant to keep the output (a refactor, a faster kernel) must leave them
 alone; a deliberate output change re-pins them and says why in CHANGES.md.
 """

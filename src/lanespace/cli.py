@@ -110,12 +110,15 @@ def cmd_process(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
+    served = args.source.startswith("tcp:")
+    # A bad source fails here, before the sink makes its directory.
+    source = None if served else make_source(args.source, args.seed)
     sink = make_sink(args.sink)
     try:
-        if args.source.startswith("tcp:"):
+        if served:
             stats = serve(args.source[len("tcp:") :], cfg, extra_sink=sink)
         else:
-            stats = run_pipeline(make_source(args.source, args.seed), sink, cfg)
+            stats = run_pipeline(source, sink, cfg)
     finally:
         sink.close()
     report = _report(args, cfg, source=args.source, sink=args.sink, stats=stats.to_dict())

@@ -194,6 +194,9 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     # two runs (runs are apart by a non-core pixel), so the first and last
     # run of each range are all the candidates; k stands for "none".
     border = np.flatnonzero(framed > core)
+    # A box count of 1 is the pixel alone: no core pixel to claim it.
+    row, col = np.divmod(border, w)
+    border = border[counts[row - 1, col - 1] >= 2]
     centres = np.concatenate([border - w, border, border + w])
     first, stop = _runs_meeting(edges, centres - 1, centres + 2)
     candidate = np.append(cluster, k)

@@ -169,19 +169,23 @@ def dir_source(path: str | os.PathLike) -> Iterator[SourceFrame | SourceFailure]
     """Masks from sorted *.pgm files; frame ids are positional.
 
     A sibling <name>.json carrying a "road_class" key labels the frame. A
-    path that is not a directory raises NotADirectoryError; an empty
-    directory gives no frames.
+    path that is not a directory raises NotADirectoryError here, before any
+    frame is asked for; an empty directory gives no frames.
     """
     root = Path(path)
     if not root.is_dir():
         raise NotADirectoryError(f"source {path} is not a directory")
-    for frame_id, pgm in enumerate(sorted(root.glob("*.pgm"))):
-        try:
-            mask = read_mask(pgm)
-        except (PnmError, OSError) as e:
-            yield SourceFailure(f"{pgm.name}: {e}")
-            continue
-        yield SourceFrame(frame_id, read_road_class(pgm.with_suffix(".json")), mask)
+
+    def frames() -> Iterator[SourceFrame | SourceFailure]:
+        for frame_id, pgm in enumerate(sorted(root.glob("*.pgm"))):
+            try:
+                mask = read_mask(pgm)
+            except (PnmError, OSError) as e:
+                yield SourceFailure(f"{pgm.name}: {e}")
+                continue
+            yield SourceFrame(frame_id, read_road_class(pgm.with_suffix(".json")), mask)
+
+    return frames()
 
 
 def read_road_class(path: str | os.PathLike) -> RoadClass:
@@ -199,14 +203,21 @@ def read_road_class(path: str | os.PathLike) -> RoadClass:
 
 
 def gen_source(spec: str, seed: int = 0) -> Iterator[SourceFrame | SourceFailure]:
-    """Synthetic frames from a compact spec: N[xWxH][@noise], e.g. 100x640x480@0.01."""
+    """Synthetic frames from a compact spec: N[xWxH][@noise], e.g. 100x640x480@0.01.
+
+    A malformed spec raises ValueError here, before any frame is asked for.
+    """
     from .scenes import generate, sample_spec
 
     count, width, height, noise = _parse_gen_spec(spec)
-    for i in range(count):
-        scene = sample_spec(seed + i, width=width, height=height, noise_rate=noise)
-        mask, _ = generate(scene)
-        yield SourceFrame(i, scene.road_class, mask)
+
+    def frames() -> Iterator[SourceFrame | SourceFailure]:
+        for i in range(count):
+            scene = sample_spec(seed + i, width=width, height=height, noise_rate=noise)
+            mask, _ = generate(scene)
+            yield SourceFrame(i, scene.road_class, mask)
+
+    return frames()
 
 
 def _parse_gen_spec(spec: str) -> tuple[int, int, int, float | None]:

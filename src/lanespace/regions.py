@@ -165,12 +165,39 @@ def _cluster_spans(
     return Spans(labels[kept], ys, xs, xs)
 
 
-def _row_extremes(spans: Spans) -> list[np.ndarray]:
-    """Per cluster, in label order, the (x, y) of the leftmost and rightmost
-    pixel of each row it occupies.
+def _convex_chains(group: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Indices of the chain points that stay after pruning to the convex side.
 
-    A cluster's hull is the hull of these points: every other pixel of a row
-    lies between the two.
+    Each group is a contiguous chain with rows increasing. A point stays when
+    it lies strictly left of the chord between its two neighbours in its
+    group; a group's first and last point always stay. Passes repeat until
+    one removes nothing. The arithmetic is exact on int64 coordinates.
+    """
+    keep = np.arange(len(x))
+    while True:
+        g, yk, xk = group[keep], y[keep], x[keep]
+        ya, ym, yb = yk[:-2], yk[1:-1], yk[2:]
+        # Groups are contiguous, so equal ends mean the middle shares them.
+        flat = (g[:-2] == g[2:]) & (
+            xk[1:-1] * (yb - ya) >= xk[:-2] * (yb - ym) + xk[2:] * (ym - ya)
+        )
+        if not flat.any():
+            return keep
+        keep = np.delete(keep, np.flatnonzero(flat) + 1)
+
+
+def _row_extremes(spans: Spans) -> list[np.ndarray]:
+    """Per cluster, in label order, the (x, y) of the row extremes that can be
+    vertices of its hull.
+
+    A cluster's hull is the hull of the leftmost and rightmost pixel of each
+    row it occupies: every other pixel of a row lies between the two. Of
+    those, a leftmost pixel on or right of the chord between its neighbours
+    on the left chain lies between that chord and the row's rightmost pixel,
+    and likewise on the right, so pruning both chains to their convex side
+    leaves the hull unchanged. Neighbours removed in the same pass bend
+    away from the chain's outside, so they too lie on or inside the chord
+    between the points that stay around them.
     """
     # Spans of one cluster and row are disjoint, so sorting them by first
     # also sorts them by last: a group's first span holds its leftmost pixel
@@ -183,14 +210,16 @@ def _row_extremes(spans: Spans) -> list[np.ndarray]:
     fresh[1:-1] = (label[1:] != label[:-1]) | (y[1:] != y[:-1])
     bounds = np.flatnonzero(fresh)
     heads = bounds[:-1]
-    left = spans.first[order[heads]]
-    right = spans.last[order[bounds[1:] - 1]]
-    rows = y[heads]
-    cuts = np.flatnonzero(np.diff(label[heads])) + 1
-    return [
-        np.column_stack([np.concatenate([lx, rx]), np.concatenate([ry, ry])]).astype(np.float64)
-        for lx, rx, ry in zip(*(np.split(v, cuts) for v in (left, right, rows)))
-    ]
+    # The left chains of all clusters, then their right chains. Negating the
+    # right chains' x turns "strictly right" into "strictly left".
+    side = np.repeat([1, -1], len(heads))
+    cluster = np.tile(label[heads], 2)
+    rows = np.tile(y[heads], 2)
+    xs = np.concatenate([spans.first[order[heads]], spans.last[order[bounds[1:] - 1]]])
+    keep = _convex_chains(2 * cluster + (side < 0), rows, side * xs)
+    keep = keep[np.argsort(cluster[keep], kind="stable")]
+    points = np.column_stack([xs[keep], rows[keep]]).astype(np.float64)
+    return np.split(points, np.flatnonzero(np.diff(cluster[keep])) + 1)
 
 
 def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None) -> RegionSet:

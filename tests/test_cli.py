@@ -209,6 +209,14 @@ def test_run_rejects_a_missing_source_directory(tmp_path, capsys):
     assert json.loads(stats_file.read_text())["stats"]["frames_processed"] == 0
 
 
+@pytest.mark.parametrize("source", ["dir:{tmp}/missing", "gen:5x640", "gen:axbxc"])
+def test_run_with_a_bad_source_leaves_no_sink_directory(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    assert main(["run", "--source", source.format(tmp=tmp_path), "--sink", f"dir:{out}"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class RecordingSink:
     def __init__(self):
         self.closed = False

@@ -287,3 +287,14 @@ def test_lattice_border_pixel_of_a_filtered_cluster_stays_noise():
     assert (labels[:3] == NOISE).all()
     assert labels[3:].tolist() == [[-1, 0, -1]] + [[0, 0, 0]] * 3
     assert np.array_equal(labels, grid_labels(member, params))
+
+
+def test_lattice_border_pixel_needs_a_box_count_of_two():
+    # (4, 4)'s box holds one other member, the core corner (3, 3) of the
+    # block, so it is claimed; (6, 6) is alone in its box and stays noise.
+    member = lattice(["xxxx...", "xxxx...", "xxxx...", "xxxx...", "....x..", ".......", "......x"])
+    params = ClusterParams(eps=1.5, min_pts=4, min_cluster_size=3)
+    labels = lattice_labels(member, params)
+    assert labels[4, 4] == 0 and labels[3, 3] == 0
+    assert labels[6, 6] == NOISE
+    assert np.array_equal(labels, grid_labels(member, params))

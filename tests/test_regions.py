@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from lanespace import regions
-from lanespace.clustering import ClusterParams, dbscan
+from lanespace.clustering import ClusterParams, Spans, dbscan
 from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample, extract_points
 from lanespace.geometry import (
     convex_hull,
@@ -247,6 +248,81 @@ def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster():
             assert len(got) == len(expected) > 0
             for g, e in zip(got, expected):
                 assert np.array_equal(g, e)
+
+
+def all_row_extremes(spans):
+    """Each cluster's leftmost and rightmost pixel per row, found by a loop."""
+    rows = {}
+    for label, y, first, last in zip(*(v.tolist() for v in spans)):
+        lo, hi = rows.setdefault(label, {}).get(y, (first, last))
+        rows[label][y] = (min(lo, first), max(hi, last))
+    return [
+        np.array([(x, y) for y, ends in sorted(by_row.items()) for x in ends], dtype=np.float64)
+        for _, by_row in sorted(rows.items())
+    ]
+
+
+def assert_pruning_keeps_hulls(spans):
+    """The hulls of the pruned and of all row extremes are byte-equal."""
+    pruned, full = regions._row_extremes(spans), all_row_extremes(spans)
+    assert len(pruned) == len(full)
+    for p, f in zip(pruned, full):
+        hp, hf = convex_hull(p), convex_hull(f)
+        assert (hp is None) == (hf is None)
+        if hp is not None:
+            assert hp.shape == hf.shape and hp.tobytes() == hf.tobytes()
+    return pruned, full
+
+
+def spans_of(*clusters):
+    """Spans of hand-made clusters, each a list of (y, first, last) rows."""
+    rows = [(label, *row) for label, cluster in enumerate(clusters) for row in cluster]
+    return Spans(*(np.array(v, dtype=np.int64) for v in zip(*rows)))
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4])
+def test_pruned_row_extremes_give_the_hulls_of_all_row_extremes(factor):
+    rng = np.random.default_rng(factor)
+    masks = []
+    for _ in range(6):
+        # Blocks of 8x8 pixels with a tenth of the pixels redrawn: large
+        # irregular clusters with ragged edges, holes and noise pixels.
+        grid = np.kron(rng.choice(3, size=(12, 16)), np.ones((8, 8), dtype=np.int64))
+        noisy = rng.random(grid.shape) < 0.1
+        grid[noisy] = rng.choice(3, size=int(noisy.sum()))
+        masks.append(SegmentationMask(grid.astype(np.uint8)))
+    masks += [
+        generate(sample_spec(seed, width=320, height=240, noise_rate=0.02))[0]
+        for seed in range(4)
+    ]
+    for mask in masks:
+        small = downsample(mask, factor)
+        for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
+            assert_pruning_keeps_hulls(regions._cluster_spans(small, cls, ClusterParams()))
+
+
+SINE = [math.floor(200 * math.sin(y / 40)) for y in range(480)]
+
+
+def test_pruning_keeps_the_hulls_of_hand_made_clusters():
+    one_row = [(3, 2, 9)]
+    single_pixel_rows = [(0, 3, 3), (1, 2, 4), (2, 1, 5), (3, 2, 4), (4, 3, 3), (5, 3, 3)]
+    diagonal = [(y, y, y + 3) for y in range(20)]
+    # Its left chain needs 18 pruning passes, the last removing nothing.
+    sine = [(y, 200 + x, 205 + x) for y, x in enumerate(SINE)]
+    pruned, _ = assert_pruning_keeps_hulls(
+        spans_of(one_row, single_pixel_rows, diagonal, sine)
+    )
+    assert pruned[0].tolist() == [[2, 3], [9, 3]]
+    # Collinear extremes go: the diagonal keeps its first and last row only.
+    assert sorted(pruned[2].tolist()) == [[0, 0], [3, 0], [19, 19], [22, 19]]
+
+
+def test_pruning_leaves_few_of_a_trapezoids_row_extremes():
+    trapezoid = [(y, 100 - y // 2, 300 + y // 3) for y in range(200)]
+    pruned, full = assert_pruning_keeps_hulls(spans_of(trapezoid))
+    assert len(full[0]) == 400
+    assert len(pruned[0]) <= 6
 
 
 def test_lattice_and_grid_paths_give_identical_regions(monkeypatch):

@@ -301,15 +301,13 @@ def test_pruned_row_extremes_give_the_hulls_of_all_row_extremes(factor):
             assert_pruning_keeps_hulls(regions._cluster_spans(small, cls, ClusterParams()))
 
 
-SINE = [math.floor(200 * math.sin(y / 40)) for y in range(480)]
-
-
 def test_pruning_keeps_the_hulls_of_hand_made_clusters():
     one_row = [(3, 2, 9)]
     single_pixel_rows = [(0, 3, 3), (1, 2, 4), (2, 1, 5), (3, 2, 4), (4, 3, 3), (5, 3, 3)]
     diagonal = [(y, y, y + 3) for y in range(20)]
     # Its left chain needs 18 pruning passes, the last removing nothing.
-    sine = [(y, 200 + x, 205 + x) for y, x in enumerate(SINE)]
+    wave = [math.floor(200 * math.sin(y / 40)) for y in range(480)]
+    sine = [(y, 200 + x, 205 + x) for y, x in enumerate(wave)]
     pruned, _ = assert_pruning_keeps_hulls(
         spans_of(one_row, single_pixel_rows, diagonal, sine)
     )

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import ClassId, RoadClass, SegmentationMask, downsample, extract_points
+from .core import ClassId, RoadClass, SegmentationMask, downsample
 from .regions import DrivableRegion, ExtractionConfig, RegionSet, extract_regions
 from .policy import NavigationAdvice, advise
 
@@ -12,7 +12,6 @@ __all__ = [
     "RoadClass",
     "SegmentationMask",
     "downsample",
-    "extract_points",
     "DrivableRegion",
     "ExtractionConfig",
     "RegionSet",

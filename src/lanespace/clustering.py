@@ -1,21 +1,20 @@
-"""DBSCAN: a lattice form for pixel grids, a grid-indexed form for arbitrary
-2-D points, and an O(n^2) reference.
+"""DBSCAN of the pixels of a boolean grid, for any eps.
 
-All three produce the classic sequential labeling: clusters are numbered by
-the lowest-index core point they contain, a border point reachable from
-several clusters belongs to the first cluster that claimed it in index order,
-and clusters below min_cluster_size are relabeled to noise with the survivors
-renumbered contiguously from 0. For pixels, index order is row-major order.
+On a pixel grid every pixel's eps-neighbourhood is one fixed stencil: the
+offsets (dx, dy) with dx^2 + dy^2 <= eps^2. `dbscan_lattice` counts class
+pixels under that stencil to find the core pixels, then joins runs of core
+pixels within a row rather than pixels, with one vectorized min-root
+union-find whose root is a component's lowest member, and returns each
+cluster as row spans. It needs NumPy only.
 
-`dbscan_lattice` is exact on pixel grids when sqrt(2) <= eps < 2, where the
-eps-neighbourhood of a pixel is its 3x3 box. It joins runs of core pixels
-rather than pixels and returns each cluster as row spans. Both fast forms
-join core points with one min-root union-find, whose root is a component's
-lowest member, and need NumPy only.
+It produces the classic sequential labeling over the pixels' (x, y)
+coordinates in row-major order: clusters are numbered by the first core
+pixel they contain, a border pixel reachable from several clusters belongs
+to the first cluster that claimed it, and clusters below min_cluster_size
+are relabeled to noise with the survivors renumbered contiguously from 0.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,21 +50,6 @@ class Spans(NamedTuple):
     last: np.ndarray
 
 
-def _renumber(sizes: np.ndarray, min_size: int) -> np.ndarray:
-    """Old cluster number -> new: survivors count up from 0, the rest NOISE."""
-    keep = sizes >= min_size
-    return np.where(keep, np.cumsum(keep) - 1, NOISE)
-
-
-def _size_filter(labels: np.ndarray, n_clusters: int, min_size: int) -> np.ndarray:
-    if n_clusters == 0:
-        return labels
-    mapping = _renumber(np.bincount(labels[labels >= 0], minlength=n_clusters), min_size)
-    assigned = labels >= 0
-    labels[assigned] = mapping[labels[assigned]]
-    return labels
-
-
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     """Connected components of nodes 0..n-1 under the edges (a[i], b[i]).
 
@@ -92,54 +76,6 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.cumsum(is_root) - 1)[root], int(is_root.sum())
 
 
-def _grid_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered pairs (i, j) with |pts[i] - pts[j]| <= eps, i = j included.
-
-    Cells have side eps, so every neighbor lies in one of the 9 cells around a
-    point's own cell.
-    """
-    n = len(pts)
-    cx = np.floor(pts[:, 0] / eps).astype(np.int64)
-    cy = np.floor(pts[:, 1] / eps).astype(np.int64)
-    cx -= cx.min()
-    cy -= cy.min()
-    stride = cy.max() + 3
-    key = cx * stride + cy
-    order = np.argsort(key, kind="stable")
-    uniq, start, count = np.unique(key[order], return_index=True, return_counts=True)
-    eps2 = eps * eps
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            qkey = key + dx * stride + dy
-            pos = np.minimum(np.searchsorted(uniq, qkey), len(uniq) - 1)
-            lens = np.where(uniq[pos] == qkey, count[pos], 0)
-            total = int(lens.sum())
-            if total == 0:
-                continue
-            pi = np.repeat(np.arange(n), lens)
-            first = np.cumsum(lens) - lens
-            offsets = np.arange(total) - np.repeat(first, lens)
-            pj = order[np.repeat(start[pos], lens) + offsets]
-            d2 = (pts[pi, 0] - pts[pj, 0]) ** 2 + (pts[pi, 1] - pts[pj, 1]) ** 2
-            near = d2 <= eps2
-            out_i.append(pi[near])
-            out_j.append(pj[near])
-    if not out_i:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(out_i), np.concatenate(out_j)
-
-
-def lattice_exact(params: ClusterParams) -> bool:
-    """True when eps-neighbourhoods of pixels are exactly their 3x3 boxes.
-
-    That is sqrt(2) <= eps < 2, tested on eps^2 as `dbscan` compares squared
-    distances.
-    """
-    return 2.0 <= params.eps * params.eps < 4.0
-
-
 def _runs_meeting(
     edges: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -156,121 +92,96 @@ def _runs_meeting(
 def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     """DBSCAN of the True pixels of a boolean grid, as row spans.
 
-    The spans cover exactly the clustered pixels, each with the label `dbscan`
-    gives it over the pixels' (x, y) coordinates in row-major order.
-    Requires `lattice_exact(params)`.
+    The spans cover exactly the clustered pixels, each with the label that
+    sequential DBSCAN gives it over the pixels' (x, y) coordinates in
+    row-major order.
     """
-    if not lattice_exact(params):
-        raise ValueError(f"eps {params.eps} is outside [sqrt(2), 2)")
     member = np.asarray(grid, dtype=bool)
-    # The grid framed by one empty pixel on every side. In its flat index a
-    # row is w apart, and neither a run nor a 3x3 box wraps into another row.
-    framed = np.pad(member.view(np.uint8), 1)
-    w = framed.shape[1]
-    # Core: the 3x3 box holds at least min_pts members, the pixel included.
-    columns = framed[:-2] + framed[1:-1] + framed[2:]
-    counts = columns[:, :-2] + columns[:, 1:-1] + columns[:, 2:]
-    core = np.zeros(framed.shape, dtype=bool)
-    np.logical_and(member, counts >= params.min_pts, out=core[1:-1, 1:-1])
+    height, width = member.shape
+    # The stencil: hw[dy] for dy = 0..R is the largest dx with
+    # dx^2 + dy^2 <= eps^2, compared in float64 as distances are. R and hw
+    # stop at the grid's size, past which a stencil reaches no other pixel,
+    # so a huge or infinite eps stays bounded.
+    eps2 = params.eps * params.eps
+    dy = np.arange(height, dtype=np.float64)
+    dy = dy[dy * dy <= eps2]
+    dx = np.arange(width, dtype=np.float64)
+    hw = (dx * dx + (dy * dy)[:, None] <= eps2).sum(axis=1) - 1
+    none = np.empty(0, dtype=np.int64)
+    cells = 2 * int((2 * hw + 1).sum()) - (2 * int(hw[0]) + 1)
+    if cells == 1:
+        return Spans(none, none, none, none)  # clusters of one pixel each
+    reach = len(hw) - 1
+    # Core: the stencil holds at least min_pts members, the pixel included.
+    # Its rows are summed from one horizontal window sum, widened to row 0's
+    # half-width and then narrowed row by row outward.
+    pixels = member.view(np.uint8)
+    window = pixels.astype(np.min_scalar_type(cells))
+    for half in range(1, hw[0] + 1):
+        window[:, half:] += pixels[:, :-half]
+        window[:, :-half] += pixels[:, half:]
+    counts = window.copy()
+    for dy in range(1, reach + 1):
+        for half in range(hw[dy - 1], hw[dy], -1):
+            window[:, half:] -= pixels[:, :-half]
+            window[:, :-half] -= pixels[:, half:]
+        counts[dy:] += window[:-dy]
+        counts[:-dy] += window[dy:]
+    # Core pixels in a flat index whose rows are w apart: one empty column in
+    # front of each row and hw[0], at least one, after it, so that neither a
+    # run nor a stencil row's window reaches into another row.
+    w = width + 1 + max(int(hw[0]), 1)
+    core = np.zeros((height, w), dtype=bool)
+    inner = core[:, 1 : width + 1]
+    np.logical_and(member, counts >= params.min_pts, out=inner)
     # Runs of core pixels in raster order: start[i] < end[i] < start[i + 1].
     flat = core.ravel()
     edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     start, end = edges[0::2], edges[1::2]
     n = len(start)
     if n == 0:
-        none = np.empty(0, dtype=np.int64)
         return Spans(none, none, none, none)
-    # Runs of adjacent rows join when they touch, corners included: run b in
-    # the next row meets a's columns widened by one on each side.
-    first, stop = _runs_meeting(edges, start + w - 1, end + w + 1)
+    # Run b in row dy below run a joins it when it meets a's columns widened
+    # by hw[dy] on each side, corners included. With hw[0] >= 2 this also
+    # joins runs of one row (a meets itself too, which changes nothing).
+    dys = np.arange(1 if hw[0] < 2 else 0, reach + 1)
+    lo = (start + (dys * w - hw[dys])[:, None]).ravel()
+    hi = (end + (dys * w + hw[dys])[:, None]).ravel()
+    first, stop = _runs_meeting(edges, lo, hi)
     count = stop - first
-    a = np.repeat(np.arange(n), count)
+    a = np.repeat(np.tile(np.arange(n), len(dys)), count)
     b = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count - first, count)
     # Numbering clusters by their lowest run, the one holding their first
     # core pixel, is the sequential scan's numbering.
     cluster, k = _components(n, a, b)
-    # A border pixel takes the lowest cluster among the runs meeting its 3x3
-    # box, before the size filter. Each of the box's three rows meets at most
-    # two runs (runs are apart by a non-core pixel), so the first and last
-    # run of each range are all the candidates; k stands for "none".
-    border = np.flatnonzero(framed > core)
-    # A box count of 1 is the pixel alone: no core pixel to claim it.
-    row, col = np.divmod(border, w)
-    border = border[counts[row - 1, col - 1] >= 2]
-    centres = np.concatenate([border - w, border, border + w])
-    first, stop = _runs_meeting(edges, centres - 1, centres + 2)
+    # A border pixel takes the lowest cluster among the runs meeting the rows
+    # of its stencil, before the size filter; k stands for "none". The first
+    # and last run meeting a window are all the candidates. A window is
+    # 2h + 1 wide with h <= hw[0], and the runs meeting it are at least two
+    # columns apart, so at most one pair of neighbours among them is more
+    # than hw[0] apart; every other pair is joined within its row.
+    border = np.flatnonzero(member > inner)
+    # A stencil count of 1 is the pixel alone: no core pixel to claim it.
+    border = border[counts.ravel()[border] >= 2]
+    border += border // width * (w - width) + 1
+    rows = np.arange(-reach, reach + 1)
+    halves = hw[np.abs(rows)]
+    lo = (border + (rows * w - halves)[:, None]).ravel()
+    hi = (border + (rows * w + halves + 1)[:, None]).ravel()
+    first, stop = _runs_meeting(edges, lo, hi)
     candidate = np.append(cluster, k)
     near = np.where(stop > first, np.minimum(candidate[first], candidate[stop - 1]), k)
-    best = near.reshape(3, -1).min(axis=0)
+    best = near.reshape(len(rows), -1).min(axis=0)
     claimed = best < k
     border, owner = border[claimed], best[claimed]
     # Size: run lengths plus claimed border pixels.
     sizes = np.bincount(cluster, weights=end - start, minlength=k)
     sizes += np.bincount(owner, minlength=k)
-    label = _renumber(sizes, params.min_cluster_size)[np.concatenate([cluster, owner])]
+    # Survivors count up from 0, the rest are NOISE.
+    keep = sizes >= params.min_cluster_size
+    label = np.where(keep, np.cumsum(keep) - 1, NOISE)[np.concatenate([cluster, owner])]
     kept = label >= 0
     lo = np.concatenate([start, border])[kept]
     hi = np.concatenate([end, border + 1])[kept]
     row = lo // w
-    return Spans(label[kept], row - 1, lo - row * w - 1, hi - row * w - 2)
-
-
-def dbscan(points: np.ndarray, params: ClusterParams) -> np.ndarray:
-    """Grid-indexed DBSCAN; returns one label per point (NOISE or 0..k-1)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    n = len(pts)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    pi, pj = _grid_pairs(pts, params.eps)
-    core = np.bincount(pi, minlength=n) >= params.min_pts
-    # Clusters are the connected components of the core-core pairs, numbered
-    # by their lowest member index to match the sequential expansion order.
-    # Core points keep their order when renumbered among themselves.
-    core_idx = np.flatnonzero(core)
-    rank = np.cumsum(core) - 1
-    cc = core[pi] & core[pj] & (pi < pj)
-    comp, n_clusters = _components(len(core_idx), rank[pi[cc]], rank[pj[cc]])
-    labels = np.full(n, NOISE, dtype=np.int64)
-    labels[core_idx] = comp
-    # A border point goes to the lowest-numbered adjacent cluster: that is
-    # the cluster whose expansion reaches it first.
-    bc = ~core[pi] & core[pj]
-    if bc.any():
-        best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(best, pi[bc], labels[pj[bc]])
-        claimed = ~core & (best < np.iinfo(np.int64).max)
-        labels[claimed] = best[claimed]
-    return _size_filter(labels, n_clusters, params.min_cluster_size)
-
-
-def dbscan_bruteforce(points: np.ndarray, params: ClusterParams) -> np.ndarray:
-    """Textbook sequential DBSCAN on an all-pairs distance matrix."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    n = len(pts)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    near = d2 <= params.eps * params.eps
-    core = near.sum(axis=1) >= params.min_pts
-    UNVISITED = -2
-    labels = np.full(n, UNVISITED, dtype=np.int64)
-    cluster = 0
-    for seed in range(n):
-        if labels[seed] != UNVISITED:
-            continue
-        if not core[seed]:
-            labels[seed] = NOISE
-            continue
-        labels[seed] = cluster
-        queue = deque(np.flatnonzero(near[seed]))
-        while queue:
-            q = queue.popleft()
-            if labels[q] == NOISE:
-                labels[q] = cluster
-            if labels[q] != UNVISITED:
-                continue
-            labels[q] = cluster
-            if core[q]:
-                queue.extend(np.flatnonzero(near[q]))
-        cluster += 1
-    return _size_filter(labels, cluster, params.min_cluster_size)
+    return Spans(label[kept], row, lo - row * w - 1, hi - row * w - 2)

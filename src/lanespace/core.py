@@ -82,15 +82,6 @@ class SegmentationMask:
         )
 
 
-def extract_points(mask: SegmentationMask, class_id: ClassId) -> np.ndarray:
-    """Coordinates (x, y) of every pixel equal to class_id, in row-major order.
-
-    Returns a float64 array of shape (n, 2).
-    """
-    ys, xs = np.nonzero(mask.data == int(class_id))
-    return np.column_stack([xs, ys]).astype(np.float64)
-
-
 def downsample(mask: SegmentationMask, factor: int) -> SegmentationMask:
     """Stride sampling: output pixel (i, j) = input pixel (i*factor, j*factor)."""
     if not isinstance(factor, (int, np.integer)) or factor < 1:

@@ -207,9 +207,10 @@ def gen_source(spec: str, seed: int = 0) -> Iterator[SourceFrame | SourceFailure
 
     A malformed spec raises ValueError here, before any frame is asked for.
     """
-    from .scenes import generate, sample_spec
+    from .scenes import check_sample_size, generate, sample_spec
 
     count, width, height, noise = _parse_gen_spec(spec)
+    check_sample_size(width, height)
 
     def frames() -> Iterator[SourceFrame | SourceFailure]:
         for i in range(count):

@@ -7,8 +7,8 @@ from typing import Any
 
 import numpy as np
 
-from .clustering import ClusterParams, Spans, dbscan, dbscan_lattice, lattice_exact
-from .core import ClassId, RoadClass, SegmentationMask, downsample, extract_points, road_class_name
+from .clustering import ClusterParams, Spans, dbscan_lattice
+from .core import ClassId, RoadClass, SegmentationMask, downsample, road_class_name
 from .geometry import (
     EPS_AREA,
     convex_hull,
@@ -62,10 +62,9 @@ class ExtractionConfig:
     min_region_area: float = 64.0  # px^2 at full resolution
 
     def __post_init__(self) -> None:
-        if self.downsample_factor < 1:
-            raise ValueError(
-                f"downsample_factor must be >= 1, got {self.downsample_factor}"
-            )
+        factor = self.downsample_factor
+        if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
+            raise ValueError(f"downsample_factor must be an integer >= 1, got {factor!r}")
         if self.min_region_area < 0:
             raise ValueError("min_region_area must be >= 0")
 
@@ -156,13 +155,7 @@ def _cluster_spans(
     small: SegmentationMask, class_id: ClassId, params: ClusterParams
 ) -> Spans:
     """DBSCAN of one class's pixels, as row spans of its clustered pixels."""
-    if lattice_exact(params):
-        return dbscan_lattice(small.data == int(class_id), params)
-    points = extract_points(small, class_id)
-    labels = dbscan(points, params)
-    kept = labels >= 0
-    xs, ys = points[kept].astype(np.int64).T
-    return Spans(labels[kept], ys, xs, xs)
+    return dbscan_lattice(small.data == int(class_id), params)
 
 
 def _convex_chains(group: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -225,11 +218,10 @@ def _row_extremes(spans: Spans) -> list[np.ndarray]:
 def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None) -> RegionSet:
     """Full pipeline from mask to disjoint, side-attributed lane regions.
 
-    Each class is clustered on the downsampled pixel grid, ego first: by
-    `dbscan_lattice` when eps is in [sqrt(2), 2) (the default 1.5), otherwise
-    by `dbscan` over the class's pixel coordinates. Either way each cluster
-    comes out as row spans, and its hull is built from the leftmost and
-    rightmost span end of every row it occupies.
+    Each class is clustered on the downsampled pixel grid by
+    `dbscan_lattice`, ego first. Each cluster comes out as row spans, and its
+    hull is built from the leftmost and rightmost span end of every row it
+    occupies.
     """
     cfg = cfg or ExtractionConfig()
     factor = cfg.downsample_factor

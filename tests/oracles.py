@@ -1,0 +1,147 @@
+"""Reference DBSCANs and point extraction that the tests compare the package with.
+
+`dbscan_bruteforce` is the textbook sequential DBSCAN on an all-pairs distance
+matrix. `dbscan` is a grid-indexed form for arbitrary 2-D points that gives
+the same labels much faster, so it can check larger inputs. Both number
+clusters by their lowest-index core point, give a border point reachable from
+several clusters to the first cluster that claims it in index order, and
+relabel clusters below min_cluster_size to noise, renumbering the survivors
+contiguously from 0. For pixels from `extract_points`, index order is
+row-major order.
+"""
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+from lanespace.clustering import NOISE, ClusterParams, _components
+from lanespace.core import ClassId, SegmentationMask
+
+
+def extract_points(mask: SegmentationMask, class_id: ClassId | int) -> np.ndarray:
+    """Coordinates (x, y) of every pixel equal to class_id, in row-major order.
+
+    Returns a float64 array of shape (n, 2).
+    """
+    ys, xs = np.nonzero(mask.data == int(class_id))
+    return np.column_stack([xs, ys]).astype(np.float64)
+
+
+def _size_filter(labels: np.ndarray, n_clusters: int, min_size: int) -> np.ndarray:
+    if n_clusters == 0:
+        return labels
+    keep = np.bincount(labels[labels >= 0], minlength=n_clusters) >= min_size
+    mapping = np.where(keep, np.cumsum(keep) - 1, NOISE)
+    assigned = labels >= 0
+    labels[assigned] = mapping[labels[assigned]]
+    return labels
+
+
+def _grid_pairs(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered pairs (i, j) with |pts[i] - pts[j]| <= eps, i = j included.
+
+    Cells have side eps, so every neighbor lies in one of the 9 cells around a
+    point's own cell.
+    """
+    n = len(pts)
+    cx = np.floor(pts[:, 0] / eps).astype(np.int64)
+    cy = np.floor(pts[:, 1] / eps).astype(np.int64)
+    cx -= cx.min()
+    cy -= cy.min()
+    stride = cy.max() + 3
+    key = cx * stride + cy
+    order = np.argsort(key, kind="stable")
+    uniq, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    eps2 = eps * eps
+    out_i: list[np.ndarray] = []
+    out_j: list[np.ndarray] = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            qkey = key + dx * stride + dy
+            pos = np.minimum(np.searchsorted(uniq, qkey), len(uniq) - 1)
+            lens = np.where(uniq[pos] == qkey, count[pos], 0)
+            total = int(lens.sum())
+            if total == 0:
+                continue
+            pi = np.repeat(np.arange(n), lens)
+            first = np.cumsum(lens) - lens
+            offsets = np.arange(total) - np.repeat(first, lens)
+            pj = order[np.repeat(start[pos], lens) + offsets]
+            d2 = (pts[pi, 0] - pts[pj, 0]) ** 2 + (pts[pi, 1] - pts[pj, 1]) ** 2
+            near = d2 <= eps2
+            out_i.append(pi[near])
+            out_j.append(pj[near])
+    if not out_i:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def dbscan(points: np.ndarray, params: ClusterParams) -> np.ndarray:
+    """Grid-indexed DBSCAN; returns one label per point (NOISE or 0..k-1)."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = len(pts)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    pi, pj = _grid_pairs(pts, params.eps)
+    core = np.bincount(pi, minlength=n) >= params.min_pts
+    # Clusters are the connected components of the core-core pairs, numbered
+    # by their lowest member index to match the sequential expansion order.
+    # Core points keep their order when renumbered among themselves.
+    core_idx = np.flatnonzero(core)
+    rank = np.cumsum(core) - 1
+    cc = core[pi] & core[pj] & (pi < pj)
+    comp, n_clusters = _components(len(core_idx), rank[pi[cc]], rank[pj[cc]])
+    labels = np.full(n, NOISE, dtype=np.int64)
+    labels[core_idx] = comp
+    # A border point goes to the lowest-numbered adjacent cluster: that is
+    # the cluster whose expansion reaches it first.
+    bc = ~core[pi] & core[pj]
+    if bc.any():
+        best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(best, pi[bc], labels[pj[bc]])
+        claimed = ~core & (best < np.iinfo(np.int64).max)
+        labels[claimed] = best[claimed]
+    return _size_filter(labels, n_clusters, params.min_cluster_size)
+
+
+def dbscan_bruteforce(points: np.ndarray, params: ClusterParams) -> np.ndarray:
+    """Textbook sequential DBSCAN on an all-pairs distance matrix."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = len(pts)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    near = d2 <= params.eps * params.eps
+    core = near.sum(axis=1) >= params.min_pts
+    UNVISITED = -2
+    labels = np.full(n, UNVISITED, dtype=np.int64)
+    cluster = 0
+    for seed in range(n):
+        if labels[seed] != UNVISITED:
+            continue
+        if not core[seed]:
+            labels[seed] = NOISE
+            continue
+        labels[seed] = cluster
+        queue = deque(np.flatnonzero(near[seed]))
+        while queue:
+            q = queue.popleft()
+            if labels[q] == NOISE:
+                labels[q] = cluster
+            if labels[q] != UNVISITED:
+                continue
+            labels[q] = cluster
+            if core[q]:
+                queue.extend(np.flatnonzero(near[q]))
+        cluster += 1
+    return _size_filter(labels, cluster, params.min_cluster_size)
+
+
+def oracle_labels(member: np.ndarray, params: ClusterParams, fn=dbscan) -> np.ndarray:
+    """`fn` over the True pixels of a boolean grid in row-major order, laid out
+    as a label image (NOISE elsewhere)."""
+    points = extract_points(SegmentationMask(member.astype(np.uint8)), 1)
+    image = np.full(member.shape, NOISE, dtype=np.int64)
+    image[points[:, 1].astype(int), points[:, 0].astype(int)] = fn(points, params)
+    return image

@@ -14,8 +14,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from lanespace.clustering import NOISE, ClusterParams, dbscan, dbscan_bruteforce
-from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample, extract_points
+from lanespace import regions
+from lanespace.clustering import NOISE, ClusterParams
+from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample
 from lanespace.geometry import (
     convex_hull,
     convex_intersection,
@@ -53,6 +54,7 @@ from lanespace.pipeline import (
 from lanespace.policy import advise
 from lanespace.regions import ExtractionConfig, extract_regions
 from lanespace.scenes import generate, sample_spec
+from oracles import dbscan_bruteforce, extract_points, oracle_labels
 
 
 @contextmanager
@@ -66,44 +68,25 @@ def criterion(tag: str):
     print(f"{tag}: PASS ({time.perf_counter() - t0:.1f}s)")
 
 
-def partition(labels: np.ndarray):
-    noise = frozenset(np.flatnonzero(labels == NOISE).tolist())
-    clusters = frozenset(
-        frozenset(np.flatnonzero(labels == c).tolist())
-        for c in range(int(labels.max()) + 1 if labels.size else 0)
-    )
-    return noise, clusters
-
-
-def seeded_points(seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 501))
-    mode = seed % 3
-    if mode == 0:
-        return rng.uniform(0, 30, (n, 2))
-    if mode == 1:  # integer lattice with duplicates: distance ties everywhere
-        return rng.integers(0, 18, (n, 2)).astype(np.float64)
-    centers = rng.uniform(0, 40, (int(rng.integers(1, 6)), 2))
-    return centers[rng.integers(len(centers), size=n)] + rng.normal(0, 1.2, (n, 2))
-
-
 def test_criterion_1_clustering_matches_brute_force():
     with criterion("criterion 1 clustering oracle equivalence"):
         t0 = time.perf_counter()
         for seed in range(200):
-            pts = seeded_points(seed)
-            rng = np.random.default_rng(1000 + seed)
+            rng = np.random.default_rng(seed)
+            height, width = (int(v) for v in rng.integers(8, 41, size=2))
+            grid = (rng.random((height, width)) < rng.uniform(0.1, 0.7)).astype(np.uint8)
             params = ClusterParams(
                 eps=float(rng.uniform(0.8, 3.0)),
                 min_pts=int(rng.integers(2, 9)),
                 min_cluster_size=int(rng.integers(3, 20)),
             )
-            fast = dbscan(pts, params)
-            slow = dbscan_bruteforce(pts, params)
-            noise_f, clusters_f = partition(fast)
-            noise_s, clusters_s = partition(slow)
-            assert noise_f == noise_s, f"noise differs at seed {seed}"
-            assert clusters_f == clusters_s, f"partition differs at seed {seed}"
+            # The clustering extract_regions runs, painted per pixel.
+            labels = np.full(grid.shape, NOISE, dtype=np.int64)
+            spans = regions._cluster_spans(SegmentationMask(grid), ClassId.EGO_LANE, params)
+            for label, y, first, last in zip(*spans):
+                labels[y, first : last + 1] = label
+            slow = oracle_labels(grid == 1, params, dbscan_bruteforce)
+            assert np.array_equal(labels, slow), f"labels differ at seed {seed}"
         assert time.perf_counter() - t0 < 10.0
 
 

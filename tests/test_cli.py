@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from lanespace import __version__, cli, regions
+from lanespace import __version__, cli
 from lanespace.cli import main
 from lanespace.core import ClassId, SegmentationMask
 from lanespace.netpbm import write_mask
@@ -117,21 +118,6 @@ def test_run_directory_to_directory(tmp_path):
     assert report["stats"]["errors"] == 0
 
 
-def test_run_outputs_do_not_depend_on_the_extraction_branch(tmp_path, monkeypatch):
-    out = {}
-    for branch in ("lattice", "grid"):
-        if branch == "grid":
-            monkeypatch.setattr(regions, "lattice_exact", lambda params: False)
-        sink = tmp_path / branch
-        assert main(
-            ["run", "--source", "gen:3x320x240@0.01", "--seed", "9",
-             "--sink", f"dir:{sink}", "--stats", str(tmp_path / f"{branch}.json")]
-        ) == 0
-        out[branch] = {p.name: p.read_bytes() for p in sink.glob("*.json")}
-    assert out["lattice"] == out["grid"]
-    assert len(out["lattice"]) == 3
-
-
 def test_run_exits_nonzero_when_the_source_fails(tmp_path, monkeypatch, capsys):
     def failing_source(spec, seed):
         yield from make_source("gen:2x64x64", seed)
@@ -194,6 +180,36 @@ def test_run_rejects_a_config_with_unknown_keys(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor", ["2.5", "true"])
+def test_run_rejects_a_non_integer_downsample_factor_before_the_sink(tmp_path, capsys, factor):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"extraction": {"downsample_factor": %s}}' % factor)
+    out = tmp_path / "out"
+    assert main(
+        ["run", "--source", "gen:1x64x64", "--config", str(cfg_file), "--sink", f"dir:{out}"]
+    ) == 2
+    assert "downsample_factor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("factor", [4, 1])
+def test_run_completes_with_an_infinite_eps(tmp_path, factor):
+    # JSON has no infinity, but Python's reader takes `Infinity`; the stencil
+    # stops at the grid's size, so this is the eps of the frame's diagonal.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(
+        '{"extraction": {"downsample_factor": %d, "cluster": {"eps": Infinity}}}' % factor
+    )
+    stats_file = tmp_path / "s.json"
+    assert main(
+        ["run", "--source", "gen:1", "--config", str(cfg_file), "--sink", "null",
+         "--stats", str(stats_file)]
+    ) == 0
+    report = json.loads(stats_file.read_text())
+    assert report["stats"]["frames_processed"] == 1
+    assert report["config"]["extraction"]["cluster"]["eps"] == math.inf
+
+
 def test_run_rejects_a_bad_source(capsys):
     assert main(["run", "--source", "bogus:thing"]) == 2
     assert "error" in capsys.readouterr().err
@@ -209,7 +225,9 @@ def test_run_rejects_a_missing_source_directory(tmp_path, capsys):
     assert json.loads(stats_file.read_text())["stats"]["frames_processed"] == 0
 
 
-@pytest.mark.parametrize("source", ["dir:{tmp}/missing", "gen:5x640", "gen:axbxc"])
+@pytest.mark.parametrize(
+    "source", ["dir:{tmp}/missing", "gen:5x640", "gen:axbxc", "gen:1x16x16"]
+)
 def test_run_with_a_bad_source_leaves_no_sink_directory(tmp_path, capsys, source):
     out = tmp_path / "out"
     assert main(["run", "--source", source.format(tmp=tmp_path), "--sink", f"dir:{out}"]) == 2

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanespace.clustering import (
-    NOISE,
-    ClusterParams,
-    dbscan,
-    dbscan_bruteforce,
-    dbscan_lattice,
-    lattice_exact,
-)
-from lanespace.core import SegmentationMask, extract_points
+from lanespace.clustering import NOISE, ClusterParams, dbscan_lattice
+from lanespace.core import ClassId, downsample
+from lanespace.scenes import generate, sample_spec
+from oracles import dbscan, dbscan_bruteforce, oracle_labels
 
 
 def partition_of(labels: np.ndarray) -> tuple[frozenset, frozenset]:
@@ -151,7 +146,25 @@ def test_partition_is_permutation_invariant_without_border_ties():
 
 # --- lattice form -------------------------------------------------------------
 
-LATTICE_EPS = (math.sqrt(2), 1.5, 1.99)
+# Below 1 a pixel's stencil is the pixel alone; at sqrt(2) it reaches the
+# diagonal, at 2 two pixels along a row or column, and an infinite eps
+# covers the whole grid. Each boundary is taken from both sides.
+LATTICE_EPS = (
+    0.5,
+    math.nextafter(1.0, 0.0),
+    1.0,
+    math.nextafter(math.sqrt(2), 0.0),
+    math.sqrt(2),
+    1.5,
+    1.99,
+    2.0,
+    math.sqrt(5),
+    2.5,
+    math.sqrt(8),
+    3.0,
+    9.0,
+    math.inf,
+)
 
 
 def lattice_labels(member: np.ndarray, params: ClusterParams) -> np.ndarray:
@@ -159,14 +172,6 @@ def lattice_labels(member: np.ndarray, params: ClusterParams) -> np.ndarray:
     image = np.full(member.shape, NOISE, dtype=np.int64)
     for label, y, first, last in zip(*dbscan_lattice(member, params)):
         image[y, first : last + 1] = label
-    return image
-
-
-def grid_labels(member: np.ndarray, params: ClusterParams) -> np.ndarray:
-    """`dbscan` over the True pixels in row-major order, laid out as an image."""
-    points = extract_points(SegmentationMask(member.astype(np.uint8)), 1)
-    image = np.full(member.shape, NOISE, dtype=np.int64)
-    image[points[:, 1].astype(int), points[:, 0].astype(int)] = dbscan(points, params)
     return image
 
 
@@ -191,7 +196,7 @@ def lattice_cases(draw):
 @given(lattice_cases())
 def test_lattice_labels_equal_grid_labels(case):
     member, params = case
-    assert np.array_equal(lattice_labels(member, params), grid_labels(member, params))
+    assert np.array_equal(lattice_labels(member, params), oracle_labels(member, params))
 
 
 def test_lattice_border_pixel_takes_the_lowest_adjacent_cluster():
@@ -211,23 +216,35 @@ def test_lattice_border_pixel_takes_the_lowest_adjacent_cluster():
     labels = lattice_labels(member, params)
     assert labels[2, 2] == 0
     assert labels[0, 0] == 0 and labels[4, 4] == 1
-    assert np.array_equal(labels, grid_labels(member, params))
+    assert np.array_equal(labels, oracle_labels(member, params))
 
 
-def test_lattice_range_is_sqrt2_up_to_2():
-    assert lattice_exact(ClusterParams(eps=math.sqrt(2)))
-    assert lattice_exact(ClusterParams(eps=1.5))
-    assert lattice_exact(ClusterParams(eps=1.99))
-    assert not lattice_exact(ClusterParams(eps=1.41))
-    assert not lattice_exact(ClusterParams(eps=2.0))
-    assert not lattice_exact(ClusterParams(eps=2.5))
-    with pytest.raises(ValueError):
-        dbscan_lattice(np.ones((3, 3), dtype=bool), ClusterParams(eps=2.0))
+@pytest.mark.parametrize("factor", [4, 1])
+def test_lattice_huge_eps_gives_the_spans_of_the_grid_diagonal(factor):
+    mask = downsample(generate(sample_spec(3, noise_rate=0.01))[0], factor)
+    diagonal = math.hypot(mask.height - 1, mask.width - 1)
+    for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
+        member = mask.data == int(cls)
+        want = dbscan_lattice(member, ClusterParams(eps=diagonal))
+        assert len(want.label) > 0
+        for eps in (1e9, math.inf):
+            got = dbscan_lattice(member, ClusterParams(eps=eps))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_lattice_of_an_empty_grid_is_all_noise():
     spans = dbscan_lattice(np.zeros((4, 5), dtype=bool), ClusterParams())
     assert all(len(field) == 0 for field in spans)
+
+
+def test_lattice_below_eps_1_gives_no_cluster():
+    # Below 1 the stencil is the pixel alone, even where every pixel is core.
+    full = np.ones((5, 6), dtype=bool)
+    for eps in (0.5, math.nextafter(1.0, 0.0)):
+        spans = dbscan_lattice(full, ClusterParams(eps=eps, min_pts=1, min_cluster_size=3))
+        assert all(len(field) == 0 for field in spans)
+    one = dbscan_lattice(full, ClusterParams(eps=1.0, min_pts=1, min_cluster_size=3))
+    assert set(one.label.tolist()) == {0}
 
 
 def lattice(rows: list[str]) -> np.ndarray:
@@ -263,7 +280,19 @@ def test_lattice_run_adjacency(rows, expected):
         [[NOISE if c == "." else int(c) for c in row] for row in expected], dtype=np.int64
     )
     assert np.array_equal(lattice_labels(member, EVERY_PIXEL_CORE), want)
-    assert np.array_equal(grid_labels(member, EVERY_PIXEL_CORE), want)
+    assert np.array_equal(oracle_labels(member, EVERY_PIXEL_CORE), want)
+
+
+def test_lattice_wide_stencil_does_not_reach_into_the_next_row():
+    # At eps 3 a run's window in its own row reaches three columns past its
+    # end. The runs are 7 columns apart in x, so they stay two clusters
+    # although the right edge and the next row's left edge are adjacent in
+    # flat order.
+    member = lattice([".......xxx", "xxx......."])
+    params = ClusterParams(eps=3.0, min_pts=1, min_cluster_size=3)
+    want = [[NOISE] * 7 + [0] * 3, [1] * 3 + [NOISE] * 7]
+    assert lattice_labels(member, params).tolist() == want
+    assert oracle_labels(member, params).tolist() == want
 
 
 def test_lattice_border_pixel_between_two_runs_of_its_row_takes_the_lower():
@@ -274,7 +303,7 @@ def test_lattice_border_pixel_between_two_runs_of_its_row_takes_the_lower():
     params = ClusterParams(eps=1.5, min_pts=4, min_cluster_size=3)
     labels = lattice_labels(member, params)
     assert labels.tolist() == [[-1, -1, -1, -1, 0, -1], [1, -1, -1, -1, 0, -1], [1, 1, 0, 0, 0, 0]]
-    assert np.array_equal(labels, grid_labels(member, params))
+    assert np.array_equal(labels, oracle_labels(member, params))
 
 
 def test_lattice_border_pixel_of_a_filtered_cluster_stays_noise():
@@ -286,7 +315,7 @@ def test_lattice_border_pixel_of_a_filtered_cluster_stays_noise():
     labels = lattice_labels(member, params)
     assert (labels[:3] == NOISE).all()
     assert labels[3:].tolist() == [[-1, 0, -1]] + [[0, 0, 0]] * 3
-    assert np.array_equal(labels, grid_labels(member, params))
+    assert np.array_equal(labels, oracle_labels(member, params))
 
 
 def test_lattice_border_pixel_needs_a_box_count_of_two():
@@ -297,4 +326,4 @@ def test_lattice_border_pixel_needs_a_box_count_of_two():
     labels = lattice_labels(member, params)
     assert labels[4, 4] == 0 and labels[3, 3] == 0
     assert labels[6, 6] == NOISE
-    assert np.array_equal(labels, grid_labels(member, params))
+    assert np.array_equal(labels, oracle_labels(member, params))

@@ -8,10 +8,10 @@ from lanespace.core import (
     RoadClass,
     SegmentationMask,
     downsample,
-    extract_points,
     road_class_from_name,
     road_class_name,
 )
+from oracles import extract_points
 
 mask_grids = st.integers(1, 12).flatmap(
     lambda h: st.integers(1, 12).flatmap(

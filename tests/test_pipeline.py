@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from lanespace import regions
 from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.netpbm import write_mask
 from lanespace.pipeline import (
@@ -67,19 +66,6 @@ def test_output_order_equals_input_order():
     assert [fid for fid, _ in sink.delivered] == [5, 3, 9, 0, 7]
     assert stats.frames_processed == 5
     assert stats.errors == 0
-
-
-def test_documents_identical_on_both_extraction_branches(monkeypatch):
-    frames = list(gen_source("5x320x240@0.01", seed=3))
-    outputs = {}
-    for lattice in (True, False):  # lattice DBSCAN, then grid DBSCAN
-        if not lattice:
-            monkeypatch.setattr(regions, "lattice_exact", lambda params: False)
-        sink = CaptureSink()
-        run_pipeline(frames, sink, PipelineConfig())
-        outputs[lattice] = sink.delivered
-    assert outputs[True] == outputs[False]
-    assert len(outputs[True]) == 5
 
 
 def test_order_survives_a_jittery_source_and_slow_sink():
@@ -277,6 +263,12 @@ def test_pipeline_config_round_trip_and_validation():
     for removed in ("worker_pool_size", "queue_capacity"):
         with pytest.raises(ValueError):
             PipelineConfig.from_dict({removed: 2})
+
+
+@pytest.mark.parametrize("factor", [2.5, True, 0])
+def test_pipeline_config_rejects_a_non_integer_downsample_factor(factor):
+    with pytest.raises(ValueError, match="downsample_factor"):
+        PipelineConfig.from_dict({"extraction": {"downsample_factor": factor}})
 
 
 # --- served deployment ------------------------------------------------------

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from lanespace import regions
-from lanespace.clustering import ClusterParams, Spans, dbscan
-from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample, extract_points
+from lanespace.clustering import ClusterParams, Spans
+from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample
 from lanespace.geometry import (
     convex_hull,
     convex_intersection,
@@ -33,6 +33,7 @@ from lanespace.regions import (
     resolve_overlaps,
 )
 from lanespace.scenes import generate, sample_spec
+from oracles import dbscan, extract_points
 
 
 def square(x0, y0, side):
@@ -203,7 +204,7 @@ def test_three_lane_mask_recovers_all_sides():
     assert rs.ego.lane == LANE_EGO
 
 
-def branch_masks():
+def sample_masks():
     yield three_lane_mask()
     for seed in range(3):
         yield generate(sample_spec(seed, width=320, height=240, noise_rate=0.01))[0]
@@ -215,19 +216,11 @@ def frame_document(mask):
     return document_bytes(build_document(3, RoadClass.HIGHWAY, rs, advice.as_dict()))
 
 
-def assert_same_regions(a, b):
-    assert len(a.present()) == len(b.present())
-    for ra, rb in zip(a.present(), b.present()):
-        assert ra.lane == rb.lane
-        assert len(ra.pieces) == len(rb.pieces)
-        for pa, pb in zip(ra.pieces, rb.pieces):
-            assert np.array_equal(pa, pb)
-
-
-def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster():
-    cfg = ExtractionConfig()
+@pytest.mark.parametrize("eps", [1.5, 2.5, 3.0])
+def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster(eps):
+    cfg = ExtractionConfig(cluster=ClusterParams(eps=eps))
     min_area = cfg.min_region_area / cfg.downsample_factor**2
-    for mask in branch_masks():
+    for mask in sample_masks():
         small = downsample(mask, cfg.downsample_factor)
         for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
             points = extract_points(small, cls)
@@ -323,32 +316,22 @@ def test_pruning_leaves_few_of_a_trapezoids_row_extremes():
     assert len(pruned[0]) <= 6
 
 
-def test_lattice_and_grid_paths_give_identical_regions(monkeypatch):
-    for mask in branch_masks():
-        lattice = extract_regions(mask)
-        with monkeypatch.context() as m:
-            m.setattr(regions, "lattice_exact", lambda params: False)
-            grid = extract_regions(mask)
-        assert_same_regions(lattice, grid)
-
-
 def test_documents_are_byte_identical_across_runs():
-    for mask in branch_masks():
+    for mask in sample_masks():
         docs = [frame_document(mask) for _ in range(3)]
         assert docs[0] == docs[1] == docs[2]
 
 
 def test_eps_picks_the_clustering_path(monkeypatch):
+    # Every eps takes the one path, and the wider stencils still give three
+    # disjoint sides.
     calls = []
-    for name in ("dbscan", "dbscan_lattice"):
-        original = getattr(regions, name)
-        monkeypatch.setattr(
-            regions, name, lambda *a, name=name, f=original: calls.append(name) or f(*a)
-        )
-    for eps, path in ((1.5, "dbscan_lattice"), (2.5, "dbscan")):
+    original = regions.dbscan_lattice
+    monkeypatch.setattr(regions, "dbscan_lattice", lambda *a: calls.append(a) or original(*a))
+    for eps in (1.5, 2.5, 3.0):
         calls.clear()
         rs = extract_regions(three_lane_mask(), ExtractionConfig(cluster=ClusterParams(eps=eps)))
-        assert calls == [path, path]  # one call per class
+        assert len(calls) == 2  # one call per class
         assert rs.ego is not None and rs.left is not None and rs.right is not None
         pieces = [p for region in rs.present() for p in region.pieces]
         for piece in pieces:

@@ -156,10 +156,10 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     cluster, k = _components(n, a, b)
     # A border pixel takes the lowest cluster among the runs meeting the rows
     # of its stencil, before the size filter; k stands for "none". The first
-    # and last run meeting a window are all the candidates. A window is
-    # 2h + 1 wide with h <= hw[0], and the runs meeting it are at least two
-    # columns apart, so at most one pair of neighbours among them is more
-    # than hw[0] apart; every other pair is joined within its row.
+    # and last run meeting a window are all the candidates. The window spans
+    # 2h + 1 columns with h <= hw[0], so of the runs meeting it at most one
+    # neighbouring pair is more than hw[0] columns apart, and every other pair
+    # is joined within its row (with hw[0] <= 1 it meets at most two runs).
     border = np.flatnonzero(member > inner)
     # A stencil count of 1 is the pixel alone: no core pixel to claim it.
     border = border[counts.ravel()[border] >= 2]

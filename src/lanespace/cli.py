@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -49,11 +50,21 @@ _LANE_COLORS = {
 _GRAY_PER_CLASS = 80  # grayscale rendering: class code * 80
 
 
+def _finite_number(text: str) -> float:
+    # json calls this for numbers with a fraction or exponent (1e400 reads as
+    # inf) and for Infinity, -Infinity and NaN, which RFC 8259 does not allow.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"config holds {text}; only finite JSON numbers are allowed")
+    return value
+
+
 def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     with open(path) as f:
-        return PipelineConfig.from_dict(json.load(f))
+        raw = json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
+    return PipelineConfig.from_dict(raw)
 
 
 def _emit(payload: dict[str, Any], out: str | None) -> None:
@@ -182,10 +193,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    out_dir = Path(args.out or "scenes")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
-        spec = sample_spec(
+    # Draw every spec first: a rejected size or lane count must leave no directory.
+    specs = [
+        sample_spec(
             args.seed + i,
             width=args.width,
             height=args.height,
@@ -193,6 +203,11 @@ def cmd_gen(args) -> int:
             max_obstacles=args.obstacles,
             noise_rate=args.noise,
         )
+        for i in range(args.count)
+    ]
+    out_dir = Path(args.out or "scenes")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, spec in enumerate(specs):
         mask, _ = generate(spec)
         write_mask(out_dir / f"{i:06d}.pgm", mask)
         (out_dir / f"{i:06d}.json").write_text(json.dumps(spec.to_dict(), indent=2) + "\n")

@@ -16,11 +16,17 @@ are relabeled to noise with the survivors renumbered contiguously from 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
 NOISE = -1
+
+
+def check_integer(name: str, value: Any, low: int) -> None:
+    """Raise ValueError unless value is an int (a bool is not) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,14 +36,10 @@ class ClusterParams:
     min_cluster_size: int = 12
 
     def __post_init__(self) -> None:
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
-        if self.min_cluster_size < 3:
-            raise ValueError(
-                f"min_cluster_size must be >= 3, got {self.min_cluster_size}"
-            )
+        if isinstance(self.eps, bool) or not self.eps > 0:
+            raise ValueError(f"eps must be a positive number, got {self.eps!r}")
+        check_integer("min_pts", self.min_pts, 1)
+        check_integer("min_cluster_size", self.min_cluster_size, 3)
 
 
 class Spans(NamedTuple):

@@ -3,6 +3,9 @@
 Polygons are stored counter-clockwise (positive signed shoelace area) with no
 duplicate or collinear consecutive vertices. `None` stands for the degenerate
 result (fewer than 3 effective vertices or zero area).
+
+`polygon_area` serves clipping and hull checks; `polygon_moments` measures a
+region piece, its signed area and centroid, in one shoelace pass.
 """
 from __future__ import annotations
 
@@ -14,18 +17,16 @@ EPS_GEOM = 1e-9
 EPS_AREA = 1e-6
 
 
-def signed_area(vertices: np.ndarray) -> float:
+def polygon_area(vertices: np.ndarray) -> float:
+    """Unsigned shoelace area."""
     v = np.asarray(vertices, dtype=np.float64)
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
-def polygon_area(vertices: np.ndarray) -> float:
-    return abs(signed_area(vertices))
-
-
-def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
-    """Area-weighted centroid (not the vertex mean)."""
+def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
+    """Signed shoelace area and area-weighted centroid from one set of cross
+    products; a clockwise ring has negative area and the same centroid."""
     v = np.asarray(vertices, dtype=np.float64)
     x, y = v[:, 0], v[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
@@ -35,7 +36,7 @@ def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
         raise ValueError("centroid of a zero-area polygon")
     cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
     cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
-    return np.array([cx, cy])
+    return a, np.array([cx, cy])
 
 
 def _cross(o, a, b) -> float:
@@ -66,7 +67,7 @@ def convex_hull(points: np.ndarray) -> np.ndarray | None:
             upper.pop()
         upper.append(p)
     hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 3 or signed_area(hull) <= EPS_AREA:
+    if len(hull) < 3 or polygon_area(hull) <= EPS_AREA:
         return None
     return hull
 
@@ -154,19 +155,15 @@ def convex_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 def convex_subtract(a: np.ndarray, inner: np.ndarray | None) -> list[np.ndarray]:
     """Decompose a minus inner into convex pieces.
 
-    inner must be contained in a (callers pass the intersection of a with some
-    other polygon). Piece k is the part of a inside the first k-1 half-planes
-    of inner and beyond half-plane k, so pieces tile a \\ inner exactly.
+    inner must be contained in a: callers pass `convex_intersection(a, b)`,
+    and this is not checked again. Piece k is the part of a inside the first
+    k-1 half-planes of inner and beyond half-plane k, so pieces tile
+    a \\ inner exactly.
     """
     av = np.asarray(a, dtype=np.float64)
     if inner is None:
         return [av]
     iv = np.asarray(inner, dtype=np.float64)
-    overlap = convex_intersection(av, iv)
-    got = polygon_area(overlap) if overlap is not None else 0.0
-    want = polygon_area(iv)
-    if want - got > 1e-6 * max(1.0, want):
-        raise ValueError("subtrahend is not contained in the minuend")
     pieces: list[np.ndarray] = []
     rest: np.ndarray | None = av
     for k in range(len(iv)):
@@ -184,19 +181,6 @@ def convex_subtract(a: np.ndarray, inner: np.ndarray | None) -> list[np.ndarray]
 
 def pieces_area(pieces: list[np.ndarray]) -> float:
     return float(sum(polygon_area(p) for p in pieces))
-
-
-def pieces_centroid(pieces: list[np.ndarray]) -> np.ndarray:
-    total = 0.0
-    acc = np.zeros(2)
-    for p in pieces:
-        a = polygon_area(p)
-        if a > EPS_AREA:
-            acc += a * polygon_centroid(p)
-            total += a
-    if total <= EPS_AREA:
-        raise ValueError("centroid of an empty piece set")
-    return acc / total
 
 
 def rasterize_pieces(pieces: list[np.ndarray], width: int, height: int) -> np.ndarray:

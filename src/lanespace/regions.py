@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .clustering import ClusterParams, Spans, dbscan_lattice
+from .clustering import ClusterParams, Spans, check_integer, dbscan_lattice
 from .core import ClassId, RoadClass, SegmentationMask, downsample, road_class_name
 from .geometry import (
     EPS_AREA,
@@ -15,8 +15,8 @@ from .geometry import (
     convex_intersection,
     convex_subtract,
     pieces_area,
-    pieces_centroid,
     polygon_area,
+    polygon_moments,
 )
 
 LANE_EGO = "ego"
@@ -33,10 +33,15 @@ class DrivableRegion:
 
     @classmethod
     def from_pieces(cls, lane: str, pieces: list[np.ndarray]) -> "DrivableRegion":
-        area = pieces_area(pieces)
+        """Area and area-weighted centroid, one shoelace pass per piece."""
+        area, moment = 0.0, np.zeros(2)
+        for piece in pieces:
+            a, centroid = polygon_moments(piece)
+            area += abs(a)
+            moment += abs(a) * centroid
         if area <= EPS_AREA:
             raise ValueError("a drivable region needs positive area")
-        return cls(lane=lane, pieces=pieces, area=area, centroid=pieces_centroid(pieces))
+        return cls(lane=lane, pieces=pieces, area=area, centroid=moment / area)
 
     def relabeled(self, lane: str) -> "DrivableRegion":
         return DrivableRegion(lane, self.pieces, self.area, self.centroid)
@@ -62,11 +67,9 @@ class ExtractionConfig:
     min_region_area: float = 64.0  # px^2 at full resolution
 
     def __post_init__(self) -> None:
-        factor = self.downsample_factor
-        if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
-            raise ValueError(f"downsample_factor must be an integer >= 1, got {factor!r}")
-        if self.min_region_area < 0:
-            raise ValueError("min_region_area must be >= 0")
+        check_integer("downsample_factor", self.downsample_factor, 1)
+        if isinstance(self.min_region_area, bool) or self.min_region_area < 0:
+            raise ValueError("min_region_area must be a number >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExtractionConfig":
@@ -151,13 +154,6 @@ def assign_sides(
     return left, right, ()
 
 
-def _cluster_spans(
-    small: SegmentationMask, class_id: ClassId, params: ClusterParams
-) -> Spans:
-    """DBSCAN of one class's pixels, as row spans of its clustered pixels."""
-    return dbscan_lattice(small.data == int(class_id), params)
-
-
 def _convex_chains(group: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Indices of the chain points that stay after pruning to the convex side.
 
@@ -231,7 +227,7 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
     min_area_small = cfg.min_region_area / float(factor * factor)
     ordered: list[tuple[ClassId, list[np.ndarray]]] = []
     for class_id in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
-        for extremes in _row_extremes(_cluster_spans(small, class_id, cfg.cluster)):
+        for extremes in _row_extremes(dbscan_lattice(small.data == int(class_id), cfg.cluster)):
             hull = convex_hull(extremes)
             if hull is not None and polygon_area(hull) >= min_area_small:
                 ordered.append((class_id, [hull]))

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -192,22 +191,59 @@ def test_run_rejects_a_non_integer_downsample_factor_before_the_sink(tmp_path, c
     assert not out.exists()
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("factor", [4, 1])
 def test_run_completes_with_an_infinite_eps(tmp_path, factor):
-    # JSON has no infinity, but Python's reader takes `Infinity`; the stencil
-    # stops at the grid's size, so this is the eps of the frame's diagonal.
+    # eps * eps overflows to inf, and the stencil stops at the grid's size,
+    # so this is the eps of the frame's diagonal.
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(
-        '{"extraction": {"downsample_factor": %d, "cluster": {"eps": Infinity}}}' % factor
+        '{"extraction": {"downsample_factor": %d, "cluster": {"eps": 1e308}}}' % factor
     )
     stats_file = tmp_path / "s.json"
     assert main(
         ["run", "--source", "gen:1", "--config", str(cfg_file), "--sink", "null",
          "--stats", str(stats_file)]
     ) == 0
-    report = json.loads(stats_file.read_text())
+    report = json.loads(stats_file.read_text(), parse_constant=refuse_constant)
     assert report["stats"]["frames_processed"] == 1
-    assert report["config"]["extraction"]["cluster"]["eps"] == math.inf
+    assert report["config"]["extraction"]["cluster"]["eps"] == 1e308
+
+
+@pytest.mark.parametrize("eps", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_run_rejects_a_config_number_that_is_not_finite(tmp_path, capsys, eps):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"extraction": {"cluster": {"eps": %s}}}' % eps)
+    out = tmp_path / "out"
+    assert main(
+        ["run", "--source", "gen:1x64x64", "--config", str(cfg_file), "--sink", f"dir:{out}"]
+    ) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extraction, name",
+    [
+        ('{"cluster": {"min_pts": true, "min_cluster_size": 12.5}}', "min_pts"),
+        ('{"cluster": {"min_cluster_size": 12.5}}', "min_cluster_size"),
+        ('{"cluster": {"eps": true}}', "eps"),
+        ('{"min_region_area": true}', "min_region_area"),
+    ],
+    ids=["min_pts", "min_cluster_size", "eps", "min_region_area"],
+)
+def test_run_rejects_a_mistyped_config_value_before_the_sink(tmp_path, capsys, extraction, name):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"extraction": %s}' % extraction)
+    out = tmp_path / "out"
+    assert main(
+        ["run", "--source", "gen:1x64x64", "--config", str(cfg_file), "--sink", f"dir:{out}"]
+    ) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_a_bad_source(capsys):
@@ -331,6 +367,14 @@ def test_gen_writes_masks_with_spec_sidecars(tmp_path, capsys):
     spec = json.loads((out / "000000.json").read_text())
     assert [b["lane"] for b in spec["lanes"]] == ["left", "ego", "right"]
     assert spec["road_class"] in {"residential", "highway", "city_street", "others"}
+
+
+@pytest.mark.parametrize("flags", [["--width", "32"], ["--lanes", "5"]], ids=["width", "lanes"])
+def test_gen_rejects_a_bad_spec_before_making_the_output_directory(tmp_path, capsys, flags):
+    out = tmp_path / "scenes"
+    assert main(["gen", "--count", "2", *flags, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_loss_check_passes_and_reports(tmp_path):

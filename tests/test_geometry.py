@@ -12,13 +12,12 @@ from lanespace.geometry import (
     convex_subtract,
     is_convex_ccw,
     pieces_area,
-    pieces_centroid,
     point_in_convex,
     polygon_area,
-    polygon_centroid,
+    polygon_moments,
     rasterize_pieces,
-    signed_area,
 )
+from lanespace.regions import LANE_EGO, DrivableRegion
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -133,7 +132,7 @@ def test_hull_orientation_is_positive():
     rng = np.random.default_rng(11)
     for _ in range(20):
         hull = random_convex(rng)
-        assert signed_area(hull) > 0
+        assert polygon_moments(hull)[0] > 0
 
 
 # --- area and centroid ------------------------------------------------------
@@ -162,22 +161,45 @@ def test_area_matches_monte_carlo():
 
 
 def test_centroid_examples():
-    assert np.allclose(polygon_centroid(UNIT_SQUARE), [0.5, 0.5])
+    area, centroid = polygon_moments(UNIT_SQUARE)
+    assert area == 1.0
+    assert np.allclose(centroid, [0.5, 0.5])
     tri = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
-    assert np.allclose(polygon_centroid(tri), [4.0 / 3.0, 1.0])
+    area, centroid = polygon_moments(tri)
+    assert area == 6.0
+    assert np.allclose(centroid, [4.0 / 3.0, 1.0])
+
+
+def test_moments_of_a_clockwise_ring():
+    tri = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+    area, centroid = polygon_moments(tri[::-1])
+    assert area == -6.0
+    assert np.allclose(centroid, [4.0 / 3.0, 1.0])
+    region = DrivableRegion.from_pieces(LANE_EGO, [tri[::-1], square(10.0, 0.0, 2.0)])
+    assert region.area == 10.0
+    assert np.allclose(region.centroid, (6.0 * np.array([4.0 / 3.0, 1.0]) + [44.0, 4.0]) / 10.0)
+
+
+def test_moments_area_equals_polygon_area():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        poly = random_convex(rng, n=int(rng.integers(3, 12)), scale=40.0)
+        assert polygon_moments(poly)[0] == polygon_area(poly)
 
 
 def test_centroid_ignores_edge_subdivision():
     subdivided = np.array(
         [[0.0, 0.0], [0.25, 0.0], [0.7, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     )
-    assert np.allclose(polygon_centroid(subdivided), polygon_centroid(UNIT_SQUARE))
+    assert np.allclose(polygon_moments(subdivided)[1], polygon_moments(UNIT_SQUARE)[1])
 
 
 def test_centroid_rejects_zero_area():
     line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
-        polygon_centroid(line)
+        polygon_moments(line)
+    with pytest.raises(ValueError):
+        DrivableRegion.from_pieces(LANE_EGO, [line])
 
 
 # --- intersection -----------------------------------------------------------
@@ -230,13 +252,9 @@ def test_subtract_right_half():
     right = np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]])
     pieces = convex_subtract(UNIT_SQUARE, right)
     assert abs(pieces_area(pieces) - 0.5) <= 1e-9
-    assert np.allclose(pieces_centroid(pieces), [0.25, 0.5])
-
-
-def test_subtract_requires_containment():
-    outside = square(5.0, 5.0, 1.0)
-    with pytest.raises(ValueError):
-        convex_subtract(UNIT_SQUARE, outside)
+    region = DrivableRegion.from_pieces(LANE_EGO, pieces)
+    assert abs(region.area - 0.5) <= 1e-9
+    assert np.allclose(region.centroid, [0.25, 0.5])
 
 
 def test_subtract_conserves_area_on_seeded_pairs():

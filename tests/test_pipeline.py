@@ -271,6 +271,27 @@ def test_pipeline_config_rejects_a_non_integer_downsample_factor(factor):
         PipelineConfig.from_dict({"extraction": {"downsample_factor": factor}})
 
 
+@pytest.mark.parametrize(
+    "extraction, name",
+    [
+        ({"cluster": {"min_pts": True}}, "min_pts"),
+        ({"cluster": {"min_pts": 4.0}}, "min_pts"),
+        ({"cluster": {"min_cluster_size": 12.5}}, "min_cluster_size"),
+        ({"cluster": {"min_cluster_size": True}}, "min_cluster_size"),
+        ({"cluster": {"eps": True}}, "eps"),
+        ({"min_region_area": True}, "min_region_area"),
+    ],
+)
+def test_pipeline_config_rejects_booleans_and_fractional_counts(extraction, name):
+    with pytest.raises(ValueError, match=name):
+        PipelineConfig.from_dict({"extraction": extraction})
+
+
+def test_pipeline_config_takes_integers_for_its_real_values():
+    cfg = PipelineConfig.from_dict({"extraction": {"cluster": {"eps": 2}, "min_region_area": 0}})
+    assert (cfg.extraction.cluster.eps, cfg.extraction.min_region_area) == (2, 0)
+
+
 # --- served deployment ------------------------------------------------------
 
 

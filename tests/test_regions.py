@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanespace import regions
+from lanespace import geometry, regions
 from lanespace.clustering import ClusterParams, Spans
 from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample
 from lanespace.geometry import (
@@ -125,16 +125,22 @@ def test_output_regions_are_pairwise_disjoint():
 def test_overlap_scan_never_goes_back(monkeypatch):
     # Ten squares of one class, each overlapping the next three: a scan that
     # restarts after every cut re-tests the disjoint pairs before it.
-    calls = []
+    calls = {"scan": 0, "subtract": 0}
 
-    def counted(a, b):
-        calls.append(1)
-        return convex_intersection(a, b)
+    def counted(key):
+        def call(a, b):
+            calls[key] += 1
+            return convex_intersection(a, b)
 
-    monkeypatch.setattr(regions, "convex_intersection", counted)
+        return call
+
+    monkeypatch.setattr(regions, "convex_intersection", counted("scan"))
+    # convex_subtract is handed the scan's intersection and clips it no more.
+    monkeypatch.setattr(geometry, "convex_intersection", counted("subtract"))
     stair = [(ClassId.OTHER_LANES, [square(x, 0, 4)]) for x in range(10)]
     out = resolve_overlaps(stair)
-    assert len(calls) <= 45  # one call per region pair
+    assert calls["scan"] <= 45  # one call per region pair
+    assert calls["subtract"] == 0
     assert [len(pieces) for _, pieces in stair] == [1] * 10  # input lists untouched
     assert abs(sum(pieces_area(p) for _, p in out) - 4 * 13) <= 1e-9
 
@@ -232,7 +238,7 @@ def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster(eps):
                 )
                 if hull is not None and polygon_area(hull) >= min_area
             ]
-            spans = regions._cluster_spans(small, cls, cfg.cluster)
+            spans = regions.dbscan_lattice(small.data == int(cls), cfg.cluster)
             got = [
                 hull
                 for hull in map(convex_hull, regions._row_extremes(spans))
@@ -291,7 +297,8 @@ def test_pruned_row_extremes_give_the_hulls_of_all_row_extremes(factor):
     for mask in masks:
         small = downsample(mask, factor)
         for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
-            assert_pruning_keeps_hulls(regions._cluster_spans(small, cls, ClusterParams()))
+            spans = regions.dbscan_lattice(small.data == int(cls), ClusterParams())
+            assert_pruning_keeps_hulls(spans)
 
 
 def test_pruning_keeps_the_hulls_of_hand_made_clusters():

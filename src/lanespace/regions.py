@@ -33,7 +33,8 @@ class DrivableRegion:
 
     @classmethod
     def from_pieces(cls, lane: str, pieces: list[np.ndarray]) -> "DrivableRegion":
-        """Area and area-weighted centroid, one shoelace pass per piece."""
+        """Area and area-weighted centroid, one shoelace pass per piece; a
+        piece without positive area raises ValueError."""
         area, moment = 0.0, np.zeros(2)
         for piece in pieces:
             a, centroid = polygon_moments(piece)

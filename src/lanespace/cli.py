@@ -11,6 +11,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from .clustering import check_integer
 from .core import RoadClass, SegmentationMask, road_class_from_name, road_class_name
 from .geometry import rasterize_pieces
 from .losses import check_gradients
@@ -193,7 +194,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    # Draw every spec first: a rejected size or lane count must leave no directory.
+    # Check and draw every spec first: a rejected count, obstacle count, size
+    # or lane count must leave no directory.
+    check_integer("--count", args.count, 1)
+    check_integer("--obstacles", args.obstacles, 0)
     specs = [
         sample_spec(
             args.seed + i,
@@ -247,12 +251,16 @@ def cmd_bench(args) -> int:
     spec = f"{args.frames}x{args.width}x{args.height}"
     if args.noise is not None:
         spec += f"@{args.noise}"
-    warm = run_pipeline(gen_source(f"{args.warmup}x{args.width}x{args.height}", args.seed), NullSink(), cfg)
+    check_integer("--warmup", args.warmup, 0)
+    warm_fps = None
+    if args.warmup:
+        warm_spec = f"{args.warmup}x{args.width}x{args.height}"
+        warm_fps = run_pipeline(gen_source(warm_spec, args.seed), NullSink(), cfg).throughput_fps
     measured = run_pipeline(gen_source(spec, args.seed), NullSink(), cfg)
     report = _report(
         args,
         cfg,
-        warmup={"frames": args.warmup, "throughput_fps": warm.throughput_fps},
+        warmup={"frames": args.warmup, "throughput_fps": warm_fps},
         stats=measured.to_dict(),
     )
     _emit(report, args.out)

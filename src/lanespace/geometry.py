@@ -4,8 +4,8 @@ Polygons are stored counter-clockwise (positive signed shoelace area) with no
 duplicate or collinear consecutive vertices. `None` stands for the degenerate
 result (fewer than 3 effective vertices or zero area).
 
-`polygon_area` serves clipping and hull checks; `polygon_moments` measures a
-region piece, its signed area and centroid, in one shoelace pass.
+`polygon_area` serves clipping and overlap resolution; `polygon_moments`
+measures a region piece, its signed area and centroid, in one shoelace pass.
 """
 from __future__ import annotations
 
@@ -41,35 +41,6 @@ def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray | None:
-    """Andrew monotone-chain hull; None when collinear or fewer than 3 points."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    # Lexicographic sort with dedupe. The chain runs on Python floats, which
-    # do the same double arithmetic as NumPy scalars at a fraction of the cost.
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    fresh = np.ones(len(pts), dtype=bool)
-    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    pts = pts[fresh].tolist()
-    if len(pts) < 3:
-        return None
-    # Pop on cross <= 0 exactly: an epsilon here would truncate needle-shaped
-    # hulls, whose corners have tiny cross area but stick out arbitrarily far.
-    lower: list[list[float]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list[list[float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 3 or polygon_area(hull) <= EPS_AREA:
-        return None
-    return hull
 
 
 def is_convex_ccw(vertices: np.ndarray, tol: float = EPS_GEOM) -> bool:
@@ -139,9 +110,22 @@ def _clip(vertices: np.ndarray, a: np.ndarray, b: np.ndarray, keep_left: bool) -
 
 
 def convex_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Clip a against every edge of b; exact for convex inputs."""
+    """Clip a against every edge of b; exact for convex inputs.
+
+    A pair with a separating edge, an edge of b with every vertex of a more
+    than EPS_GEOM outside its line by the measure `_clip` uses, is None
+    before any clipping, as the clip path would give: every polygon the
+    clips make lies in a, so the clip against that edge keeps no vertex.
+    Rounding can keep only points within rounding error of that threshold,
+    all on one line, far too thin to pass `_dedupe_ring` or EPS_AREA.
+    """
     result: np.ndarray | None = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
+    # d[k, i] is `_clip`'s d for vertex i of a against edge k of b.
+    e = np.roll(bv, -1, axis=0) - bv
+    d = e[:, :1] * (result[:, 1] - bv[:, 1:]) - e[:, 1:] * (result[:, 0] - bv[:, :1])
+    if (d < -EPS_GEOM).all(axis=1).any():
+        return None
     for k in range(len(bv)):
         result = _clip(result, bv[k], bv[(k + 1) % len(bv)], keep_left=True)
         if result is None:

@@ -11,11 +11,9 @@ from .clustering import ClusterParams, Spans, check_integer, dbscan_lattice
 from .core import ClassId, RoadClass, SegmentationMask, downsample, road_class_name
 from .geometry import (
     EPS_AREA,
-    convex_hull,
     convex_intersection,
     convex_subtract,
     pieces_area,
-    polygon_area,
     polygon_moments,
 )
 
@@ -155,70 +153,130 @@ def assign_sides(
     return left, right, ()
 
 
-def _convex_chains(group: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Indices of the chain points that stay after pruning to the convex side.
+def _convex_chains(
+    chain: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain points, as (chain, x, y), that stay after pruning to the
+    convex side.
 
-    Each group is a contiguous chain with rows increasing. A point stays when
-    it lies strictly left of the chord between its two neighbours in its
-    group; a group's first and last point always stay. Passes repeat until
-    one removes nothing. The arithmetic is exact on int64 coordinates.
+    Each chain is a contiguous run of equal `chain` ids, laid out in the order
+    of a ring with positive shoelace area. A point stays when the cross
+    product of (m - a) and (b - a) is positive, m being the point and a, b
+    its neighbours in its chain; a chain's first and last point always stay.
+    Passes repeat until one removes nothing. The arithmetic is exact on int64
+    coordinates.
     """
-    keep = np.arange(len(x))
     while True:
-        g, yk, xk = group[keep], y[keep], x[keep]
-        ya, ym, yb = yk[:-2], yk[1:-1], yk[2:]
-        # Groups are contiguous, so equal ends mean the middle shares them.
-        flat = (g[:-2] == g[2:]) & (
-            xk[1:-1] * (yb - ya) >= xk[:-2] * (yb - ym) + xk[2:] * (ym - ya)
+        ya, ym, yb = y[:-2], y[1:-1], y[2:]
+        # Chains are contiguous, so equal ends mean the middle shares them.
+        flat = (chain[:-2] == chain[2:]) & (
+            x[1:-1] * (yb - ya) <= x[:-2] * (yb - ym) + x[2:] * (ym - ya)
         )
         if not flat.any():
-            return keep
-        keep = np.delete(keep, np.flatnonzero(flat) + 1)
+            return chain, x, y
+        stay = np.ones(len(x), dtype=bool)
+        stay[1:-1] = ~flat
+        chain, x, y = chain[stay], x[stay], y[stay]
 
 
-def _row_extremes(spans: Spans) -> list[np.ndarray]:
-    """Per cluster, in label order, the (x, y) of the row extremes that can be
-    vertices of its hull.
+def _cluster_hulls(
+    classes: list[Spans],
+) -> tuple[np.ndarray, list[np.ndarray | None], np.ndarray]:
+    """The convex hull of every cluster of a frame, all classes in one pass.
+
+    Clusters are numbered class by class, in label order, so the clusters of
+    `classes[i]` come after those of the classes before it. Returns each
+    cluster's class index, its hull and the hull's area. A hull is None when
+    it has fewer than 3 vertices or no area.
 
     A cluster's hull is the hull of the leftmost and rightmost pixel of each
-    row it occupies: every other pixel of a row lies between the two. Of
-    those, a leftmost pixel on or right of the chord between its neighbours
-    on the left chain lies between that chord and the row's rightmost pixel,
-    and likewise on the right, so pruning both chains to their convex side
-    leaves the hull unchanged. Neighbours removed in the same pass bend
-    away from the chain's outside, so they too lie on or inside the chord
-    between the points that stay around them.
+    row it occupies: every other pixel of a row lies between the two. Laid
+    out as a ring, down the right chain (each row's rightmost pixel, rows
+    increasing) and back up the left chain, these points have positive
+    shoelace area. A chain point on or outside the chord between its chain
+    neighbours lies between that chord and the other chain, so pruning both
+    chains to strictly convex turns leaves the hull unchanged; neighbours
+    removed in the same pass bend away from the outside, so they too lie on
+    or inside the chord between the points that stay around them. A point
+    that stays at an interior row is a corner of the hull, whose width there
+    is positive, so the ring repeats a point only where the chains meet on
+    the top and bottom rows. Without those repeats it is the hull's vertex
+    ring; started at its least (x, y), it is the ring Andrew's monotone
+    chain gives. Coordinates are integers, so the shoelace area is exact.
     """
+    counts = [int(s.label.max()) + 1 if len(s.label) else 0 for s in classes]
+    owner = np.repeat(np.arange(len(classes)), counts)
+    if not len(owner):
+        return owner, [], np.zeros(0)
+    offsets = np.cumsum(counts) - counts
+    label = np.concatenate([s.label + o for s, o in zip(classes, offsets)])
+    y = np.concatenate([s.y for s in classes])
+    first = np.concatenate([s.first for s in classes])
+    last = np.concatenate([s.last for s in classes])
+    height, width = int(y.max()) + 1, int(last.max()) + 1
     # Spans of one cluster and row are disjoint, so sorting them by first
-    # also sorts them by last: a group's first span holds its leftmost pixel
+    # also sorts them by last: a row's first span holds its leftmost pixel
     # and its last span its rightmost.
-    order = np.lexsort((spans.first, spans.y, spans.label))
-    if not len(order):
-        return []
-    label, y = spans.label[order], spans.y[order]
+    key = (label * height + y) * width + first
+    order = np.argsort(key)
+    row = key[order] // width
     fresh = np.ones(len(order) + 1, dtype=bool)
-    fresh[1:-1] = (label[1:] != label[:-1]) | (y[1:] != y[:-1])
+    fresh[1:-1] = row[1:] != row[:-1]
     bounds = np.flatnonzero(fresh)
-    heads = bounds[:-1]
-    # The left chains of all clusters, then their right chains. Negating the
-    # right chains' x turns "strictly right" into "strictly left".
-    side = np.repeat([1, -1], len(heads))
-    cluster = np.tile(label[heads], 2)
-    rows = np.tile(y[heads], 2)
-    xs = np.concatenate([spans.first[order[heads]], spans.last[order[bounds[1:] - 1]]])
-    keep = _convex_chains(2 * cluster + (side < 0), rows, side * xs)
-    keep = keep[np.argsort(cluster[keep], kind="stable")]
-    points = np.column_stack([xs[keep], rows[keep]]).astype(np.float64)
-    return np.split(points, np.flatnonzero(np.diff(cluster[keep])) + 1)
+    row = row[bounds[:-1]]
+    cluster, row_y = np.divmod(row, height)
+    # Row g of a cluster whose rows are [lo, hi) among all rows puts its
+    # right end at ring slot lo + g and its left end at 2 * hi + lo - 1 - g.
+    n_rows = np.bincount(cluster, minlength=len(owner))
+    hi = np.cumsum(n_rows)[cluster]
+    lo = hi - n_rows[cluster]
+    g = np.arange(len(row))
+    slots = np.concatenate([lo + g, 2 * hi + lo - 1 - g])
+    ring_x = np.empty(2 * len(row), dtype=np.int64)
+    ring_y = np.empty_like(ring_x)
+    chain = np.empty_like(ring_x)
+    ring_x[slots] = np.concatenate([last[order[bounds[1:] - 1]], first[order[bounds[:-1]]]])
+    ring_y[slots] = np.tile(row_y, 2)
+    chain[slots] = np.concatenate([2 * cluster, 2 * cluster + 1])
+    chain, x, y = _convex_chains(chain, ring_x, ring_y)
+    cluster = chain // 2
+    # Drop the repeats where the chains meet: a bottom row of one pixel ends
+    # the right chain and starts the left one, a top row of one pixel ends
+    # the left chain and starts the ring.
+    n_kept = np.bincount(cluster, minlength=len(owner))
+    end = np.cumsum(n_kept)
+    start = end - n_kept
+    repeat = np.zeros(len(x), dtype=bool)
+    repeat[1:] = (x[1:] == x[:-1]) & (y[1:] == y[:-1]) & (cluster[1:] == cluster[:-1])
+    repeat[end - 1] |= (x[end - 1] == x[start]) & (y[end - 1] == y[start])
+    x, y, cluster = x[~repeat], y[~repeat], cluster[~repeat]
+    size = np.bincount(cluster, minlength=len(owner))
+    end = np.cumsum(size)
+    start = end - size
+    at = np.arange(len(x))
+    after = at + 1
+    after[end - 1] = start
+    area = 0.5 * np.add.reduceat(x * y[after] - x[after] * y, start)
+    # Rotate each ring to start at its least (x, y).
+    rank = x * height + y
+    least = np.minimum.reduceat(rank, start)[cluster]
+    begin = np.minimum.reduceat(np.where(rank == least, at, len(x)), start)
+    shift = at + begin[cluster] - 2 * start[cluster]
+    source = start[cluster] + np.where(shift >= size[cluster], shift - size[cluster], shift)
+    points = np.column_stack([x[source], y[source]]).astype(np.float64)
+    hulls: list[np.ndarray | None] = np.split(points, start[1:])
+    for i in np.flatnonzero((size < 3) | (area <= EPS_AREA)).tolist():
+        hulls[i] = None
+    return owner, hulls, area
 
 
 def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None) -> RegionSet:
     """Full pipeline from mask to disjoint, side-attributed lane regions.
 
     Each class is clustered on the downsampled pixel grid by
-    `dbscan_lattice`, ego first. Each cluster comes out as row spans, and its
-    hull is built from the leftmost and rightmost span end of every row it
-    occupies.
+    `dbscan_lattice`, ego first. Each cluster comes out as row spans, and
+    the hulls of all clusters of the frame are built in one pass from the
+    leftmost and rightmost span end of every row each occupies.
     """
     cfg = cfg or ExtractionConfig()
     factor = cfg.downsample_factor
@@ -226,12 +284,15 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
     # min_region_area is stated at full resolution; hulls live on the
     # downsampled grid until the final scaling step.
     min_area_small = cfg.min_region_area / float(factor * factor)
-    ordered: list[tuple[ClassId, list[np.ndarray]]] = []
-    for class_id in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
-        for extremes in _row_extremes(dbscan_lattice(small.data == int(class_id), cfg.cluster)):
-            hull = convex_hull(extremes)
-            if hull is not None and polygon_area(hull) >= min_area_small:
-                ordered.append((class_id, [hull]))
+    classes = (ClassId.EGO_LANE, ClassId.OTHER_LANES)
+    owner, hulls, areas = _cluster_hulls(
+        [dbscan_lattice(small.data == int(c), cfg.cluster) for c in classes]
+    )
+    ordered = [
+        (classes[i], [hull])
+        for i, hull, area in zip(owner.tolist(), hulls, areas.tolist())
+        if hull is not None and area >= min_area_small
+    ]
     ego_region: DrivableRegion | None = None
     others: list[DrivableRegion] = []
     for cls, pieces in resolve_overlaps(ordered):

@@ -1,4 +1,5 @@
-"""Reference DBSCANs and point extraction that the tests compare the package with.
+"""Reference DBSCANs, point extraction, hull and clip that the tests compare
+the package with.
 
 `dbscan_bruteforce` is the textbook sequential DBSCAN on an all-pairs distance
 matrix. `dbscan` is a grid-indexed form for arbitrary 2-D points that gives
@@ -8,6 +9,9 @@ several clusters to the first cluster that claims it in index order, and
 relabel clusters below min_cluster_size to noise, renumbering the survivors
 contiguously from 0. For pixels from `extract_points`, index order is
 row-major order.
+
+`convex_hull` is Andrew's monotone chain over any points, and
+`clip_intersection` is `convex_intersection` without its separating-edge test.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import numpy as np
 
 from lanespace.clustering import NOISE, ClusterParams, _components
 from lanespace.core import ClassId, SegmentationMask
+from lanespace.geometry import EPS_AREA, _clip, _cross, _dedupe_ring, polygon_area
 
 
 def extract_points(mask: SegmentationMask, class_id: ClassId | int) -> np.ndarray:
@@ -145,3 +150,44 @@ def oracle_labels(member: np.ndarray, params: ClusterParams, fn=dbscan) -> np.nd
     image = np.full(member.shape, NOISE, dtype=np.int64)
     image[points[:, 1].astype(int), points[:, 0].astype(int)] = fn(points, params)
     return image
+
+
+def convex_hull(points: np.ndarray) -> np.ndarray | None:
+    """Andrew monotone-chain hull; None when collinear or fewer than 3 points."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[fresh].tolist()
+    if len(pts) < 3:
+        return None
+    # Pop on cross <= 0 exactly: an epsilon here would truncate needle-shaped
+    # hulls, whose corners have tiny cross area but stick out arbitrarily far.
+    lower: list[list[float]] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper: list[list[float]] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    hull = np.array(lower[:-1] + upper[:-1])
+    if len(hull) < 3 or polygon_area(hull) <= EPS_AREA:
+        return None
+    return hull
+
+
+def clip_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Clip a against every edge of b, with no early exit before the clips."""
+    result: np.ndarray | None = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    for k in range(len(bv)):
+        result = _clip(result, bv[k], bv[(k + 1) % len(bv)], keep_left=True)
+        if result is None:
+            return None
+    result = _dedupe_ring(list(result))
+    if result is None or polygon_area(result) <= EPS_AREA:
+        return None
+    return result

@@ -18,7 +18,6 @@ from lanespace import regions
 from lanespace.clustering import NOISE, ClusterParams
 from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample
 from lanespace.geometry import (
-    convex_hull,
     convex_intersection,
     convex_subtract,
     polygon_area,
@@ -54,7 +53,7 @@ from lanespace.pipeline import (
 from lanespace.policy import advise
 from lanespace.regions import ExtractionConfig, extract_regions
 from lanespace.scenes import generate, sample_spec
-from oracles import dbscan_bruteforce, extract_points, oracle_labels
+from oracles import convex_hull, dbscan_bruteforce, extract_points, oracle_labels
 
 
 @contextmanager

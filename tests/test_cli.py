@@ -369,11 +369,17 @@ def test_gen_writes_masks_with_spec_sidecars(tmp_path, capsys):
     assert spec["road_class"] in {"residential", "highway", "city_street", "others"}
 
 
-@pytest.mark.parametrize("flags", [["--width", "32"], ["--lanes", "5"]], ids=["width", "lanes"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--width", "32"], ["--lanes", "5"], ["--count", "-2"], ["--count", "0"], ["--obstacles", "-1"]],
+    ids=["width", "lanes", "count", "no-count", "obstacles"],
+)
 def test_gen_rejects_a_bad_spec_before_making_the_output_directory(tmp_path, capsys, flags):
     out = tmp_path / "scenes"
     assert main(["gen", "--count", "2", *flags, "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""  # no report echoes the bad value
     assert not out.exists()
 
 
@@ -396,3 +402,21 @@ def test_bench_reports_throughput(tmp_path):
     assert report["stats"]["frames_processed"] == 3
     assert report["stats"]["throughput_fps"] > 0
     assert report["warmup"]["frames"] == 1
+
+
+def test_bench_without_warmup_reports_zero_frames_and_no_fps(tmp_path):
+    out = tmp_path / "bench.json"
+    assert main(
+        ["bench", "--frames", "2", "--warmup", "0", "--width", "320",
+         "--height", "240", "--out", str(out)]
+    ) == 0
+    report = json.loads(out.read_text())
+    assert report["warmup"] == {"frames": 0, "throughput_fps": None}
+    assert report["stats"]["frames_processed"] == 2
+
+
+def test_bench_rejects_a_negative_warmup(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--frames", "2", "--warmup", "-1", "--out", str(out)]) == 2
+    assert "--warmup must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()

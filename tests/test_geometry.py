@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from lanespace import geometry
 from lanespace.geometry import (
     EPS_AREA,
-    convex_hull,
+    EPS_GEOM,
     convex_intersection,
     convex_subtract,
     is_convex_ccw,
@@ -18,6 +19,7 @@ from lanespace.geometry import (
     rasterize_pieces,
 )
 from lanespace.regions import LANE_EGO, DrivableRegion
+from oracles import clip_intersection, convex_hull
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -238,6 +240,54 @@ def test_intersection_result_is_convex():
         out = convex_intersection(a, b)
         if out is not None:
             assert is_convex_ccw(out, tol=0.0)
+
+
+def contact_pairs(rng):
+    """Convex pairs that lie apart, touch at a vertex, share an edge, or sit
+    a few EPS_GEOM either side of touching; each pair also scaled by 1/3.
+
+    A gap is in the units of `_clip`'s d against the shared edge. Overlaps
+    of 1e-7 to 1e-3 straddle EPS_AREA, where the clip path stops giving None.
+    """
+    gaps = [t * EPS_GEOM for t in (-2, -1, -0.5, 0, 0.5, 1, 2)] + [-1e-7, -1e-5, -1e-3]
+    for trial in range(60):
+        a = random_convex(rng, n=int(rng.integers(3, 9)))
+        if trial % 2:
+            a = convex_hull(np.round(a))
+            if a is None:
+                continue
+        k = int(rng.integers(len(a)))
+        v, w = a[k], a[(k + 1) % len(a)]
+        edge = w - v
+        out = np.array([edge[1], -edge[0]]) / np.hypot(*edge)
+        touching = 2 * v - a  # a turned half a turn about its vertex v
+        # a mirrored across its edge v-w, reversed to stay counter-clockwise.
+        mirrored = (a - 2 * ((a - v) @ out)[:, None] * out)[::-1]
+        apart = a + out * rng.uniform(1, 30)
+        for b in (touching, mirrored, apart):
+            for gap in gaps:
+                shifted = b + gap / np.hypot(*edge) * out
+                for scale in (1.0, 1 / 3):
+                    yield a * scale, shifted * scale
+
+
+def test_intersection_equals_the_clip_only_path(monkeypatch):
+    clips = []
+    clip = geometry._clip
+    monkeypatch.setattr(geometry, "_clip", lambda *a, **kw: clips.append(1) or clip(*a, **kw))
+    rng = np.random.default_rng(12)
+    pairs = skipped = 0
+    for a, b in contact_pairs(rng):
+        for p, q in ((a, b), (b, a)):
+            before = len(clips)
+            got, want = convex_intersection(p, q), clip_intersection(p, q)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            pairs += 1
+            skipped += len(clips) == before
+    # The separating-edge test settles a share of the pairs with no clip.
+    assert 0 < skipped < pairs
 
 
 # --- subtraction ------------------------------------------------------------

@@ -10,9 +10,9 @@ import hashlib
 import numpy as np
 
 from lanespace.core import ClassId
-from lanespace.geometry import convex_hull
 from lanespace.pipeline import PipelineConfig, gen_source, run_pipeline
 from lanespace.regions import LANE_EGO, DrivableRegion, ExtractionConfig, resolve_overlaps
+from oracles import convex_hull
 
 # gen seeds 0-99 at 640x480, noise 0.01, default config.
 DEFAULT_DIGEST = "f4ccd7a14129b96b3e781708c33637cd36172ddd700a15699650807d31da3b4c"

@@ -12,7 +12,6 @@ from lanespace import geometry, regions
 from lanespace.clustering import ClusterParams, Spans
 from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample
 from lanespace.geometry import (
-    convex_hull,
     convex_intersection,
     pieces_area,
     polygon_area,
@@ -33,7 +32,7 @@ from lanespace.regions import (
     resolve_overlaps,
 )
 from lanespace.scenes import generate, sample_spec
-from oracles import dbscan, extract_points
+from oracles import clip_intersection, convex_hull, dbscan, extract_points
 
 
 def square(x0, y0, side):
@@ -226,27 +225,28 @@ def frame_document(mask):
 def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster(eps):
     cfg = ExtractionConfig(cluster=ClusterParams(eps=eps))
     min_area = cfg.min_region_area / cfg.downsample_factor**2
+    classes = (ClassId.EGO_LANE, ClassId.OTHER_LANES)
     for mask in sample_masks():
         small = downsample(mask, cfg.downsample_factor)
-        for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
+        expected = []
+        for cls in classes:
             points = extract_points(small, cls)
             labels = dbscan(points, cfg.cluster)
-            expected = [
-                hull
-                for hull in (
-                    convex_hull(points[labels == k]) for k in range(labels.max() + 1)
-                )
-                if hull is not None and polygon_area(hull) >= min_area
-            ]
-            spans = regions.dbscan_lattice(small.data == int(cls), cfg.cluster)
-            got = [
-                hull
-                for hull in map(convex_hull, regions._row_extremes(spans))
-                if hull is not None and polygon_area(hull) >= min_area
-            ]
-            assert len(got) == len(expected) > 0
-            for g, e in zip(got, expected):
-                assert np.array_equal(g, e)
+            for k in range(labels.max() + 1):
+                hull = convex_hull(points[labels == k])
+                if hull is not None and polygon_area(hull) >= min_area:
+                    expected.append((cls, hull))
+        owner, hulls, areas = regions._cluster_hulls(
+            [regions.dbscan_lattice(small.data == int(cls), cfg.cluster) for cls in classes]
+        )
+        got = [
+            (classes[i], hull)
+            for i, hull, area in zip(owner, hulls, areas)
+            if hull is not None and area >= min_area
+        ]
+        assert len(got) == len(expected) > 0
+        for (gc, g), (ec, e) in zip(got, expected):
+            assert gc == ec and np.array_equal(g, e)
 
 
 def all_row_extremes(spans):
@@ -261,16 +261,20 @@ def all_row_extremes(spans):
     ]
 
 
-def assert_pruning_keeps_hulls(spans):
-    """The hulls of the pruned and of all row extremes are byte-equal."""
-    pruned, full = regions._row_extremes(spans), all_row_extremes(spans)
-    assert len(pruned) == len(full)
-    for p, f in zip(pruned, full):
-        hp, hf = convex_hull(p), convex_hull(f)
-        assert (hp is None) == (hf is None)
-        if hp is not None:
-            assert hp.shape == hf.shape and hp.tobytes() == hf.tobytes()
-    return pruned, full
+def assert_hulls_match_the_oracle(*classes):
+    """Each class's clusters in turn: the one-pass hulls and the oracle hulls
+    of all row extremes are byte-equal, None included, and so are the areas."""
+    owner, hulls, areas = regions._cluster_hulls(list(classes))
+    full = [extremes for spans in classes for extremes in all_row_extremes(spans)]
+    assert len(hulls) == len(full)
+    assert owner.tolist() == [i for i, spans in enumerate(classes) for _ in all_row_extremes(spans)]
+    for hull, area, extremes in zip(hulls, areas, full):
+        expected = convex_hull(extremes)
+        assert (hull is None) == (expected is None)
+        if hull is not None:
+            assert hull.shape == expected.shape and hull.tobytes() == expected.tobytes()
+            assert area == polygon_area(expected)
+    return hulls, full
 
 
 def spans_of(*clusters):
@@ -296,9 +300,12 @@ def test_pruned_row_extremes_give_the_hulls_of_all_row_extremes(factor):
     ]
     for mask in masks:
         small = downsample(mask, factor)
-        for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
-            spans = regions.dbscan_lattice(small.data == int(cls), ClusterParams())
-            assert_pruning_keeps_hulls(spans)
+        assert_hulls_match_the_oracle(
+            *(
+                regions.dbscan_lattice(small.data == int(cls), ClusterParams())
+                for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES)
+            )
+        )
 
 
 def test_pruning_keeps_the_hulls_of_hand_made_clusters():
@@ -308,19 +315,49 @@ def test_pruning_keeps_the_hulls_of_hand_made_clusters():
     # Its left chain needs 18 pruning passes, the last removing nothing.
     wave = [math.floor(200 * math.sin(y / 40)) for y in range(480)]
     sine = [(y, 200 + x, 205 + x) for y, x in enumerate(wave)]
-    pruned, _ = assert_pruning_keeps_hulls(
-        spans_of(one_row, single_pixel_rows, diagonal, sine)
+    top_apex = [(0, 5, 5), (1, 3, 7), (2, 1, 9), (3, 1, 9)]
+    bottom_apex = [(3 - y, first, last) for y, first, last in top_apex]
+    # Rows 2-4 share the least x: the ring starts at the top one, (0, 2).
+    left_wall = [(0, 4, 6), (1, 2, 8), (2, 0, 9), (3, 0, 9), (4, 0, 9), (5, 2, 8), (6, 4, 6)]
+    column = [(y, 7, 7) for y in range(6)]
+    hulls, _ = assert_hulls_match_the_oracle(
+        spans_of(one_row, single_pixel_rows, diagonal, sine, top_apex, bottom_apex),
+        spans_of(left_wall, column, [(4, 4, 4)]),
     )
-    assert pruned[0].tolist() == [[2, 3], [9, 3]]
-    # Collinear extremes go: the diagonal keeps its first and last row only.
-    assert sorted(pruned[2].tolist()) == [[0, 0], [3, 0], [19, 19], [22, 19]]
+    assert hulls[0] is None  # one row has no area
+    assert hulls[2].tolist() == [[0, 0], [3, 0], [22, 19], [19, 19]]
+    assert hulls[4].tolist() == [[1, 2], [5, 0], [9, 2], [9, 3], [1, 3]]
+    assert hulls[5].tolist() == [[1, 0], [9, 0], [9, 1], [5, 3], [1, 1]]
+    assert hulls[6][0].tolist() == [0, 2] and len(hulls[6]) == 10
+    assert hulls[7] is None and hulls[8] is None  # a column, a pixel
 
 
 def test_pruning_leaves_few_of_a_trapezoids_row_extremes():
     trapezoid = [(y, 100 - y // 2, 300 + y // 3) for y in range(200)]
-    pruned, full = assert_pruning_keeps_hulls(spans_of(trapezoid))
+    hulls, full = assert_hulls_match_the_oracle(spans_of(trapezoid))
     assert len(full[0]) == 400
-    assert len(pruned[0]) <= 6
+    assert len(hulls[0]) <= 6
+
+
+def test_frame_with_no_clusters_has_no_hulls():
+    none = Spans(*[np.empty(0, dtype=np.int64)] * 4)
+    owner, hulls, areas = regions._cluster_hulls([none, none])
+    assert owner.tolist() == [] and hulls == [] and areas.tolist() == []
+
+
+@pytest.mark.parametrize(
+    "min_region_area, kept", [(64.0, False), (63.5, True)], ids=["under", "at"]
+)
+def test_a_cluster_just_under_min_region_area_is_dropped(min_region_area, kept):
+    # A 9x9 block less one corner pixel: its hull has area 8 * 8 - 0.5.
+    grid = np.zeros((16, 16), dtype=np.uint8)
+    paint(grid, 3, 12, 3, 12, int(ClassId.EGO_LANE))
+    grid[3, 3] = 0
+    cfg = ExtractionConfig(downsample_factor=1, min_region_area=min_region_area)
+    ego = extract_regions(SegmentationMask(grid), cfg).ego
+    assert (ego is not None) == kept
+    if kept:
+        assert ego.area == 63.5
 
 
 def test_documents_are_byte_identical_across_runs():
@@ -332,13 +369,16 @@ def test_documents_are_byte_identical_across_runs():
 def test_eps_picks_the_clustering_path(monkeypatch):
     # Every eps takes the one path, and the wider stencils still give three
     # disjoint sides.
-    calls = []
-    original = regions.dbscan_lattice
+    calls, prunes = [], []
+    original, prune = regions.dbscan_lattice, regions._convex_chains
     monkeypatch.setattr(regions, "dbscan_lattice", lambda *a: calls.append(a) or original(*a))
+    monkeypatch.setattr(regions, "_convex_chains", lambda *a: prunes.append(a) or prune(*a))
     for eps in (1.5, 2.5, 3.0):
         calls.clear()
+        prunes.clear()
         rs = extract_regions(three_lane_mask(), ExtractionConfig(cluster=ClusterParams(eps=eps)))
         assert len(calls) == 2  # one call per class
+        assert len(prunes) == 1  # one pruning call for the frame
         assert rs.ego is not None and rs.left is not None and rs.right is not None
         pieces = [p for region in rs.present() for p in region.pieces]
         for piece in pieces:

@@ -263,7 +263,7 @@ def contact_pairs(rng):
         touching = 2 * v - a  # a turned half a turn about its vertex v
         # a mirrored across its edge v-w, reversed to stay counter-clockwise.
         mirrored = (a - 2 * ((a - v) @ out)[:, None] * out)[::-1]
-        apart = a + out * rng.uniform(1, 30)
+        apart = a + out * rng.uniform(30, 60)  # past the 20 * sqrt(2) diameter
         for b in (touching, mirrored, apart):
             for gap in gaps:
                 shifted = b + gap / np.hypot(*edge) * out

@@ -265,11 +265,12 @@ def assert_hulls_match_the_oracle(*classes):
     """Each class's clusters in turn: the one-pass hulls and the oracle hulls
     of all row extremes are byte-equal, None included, and so are the areas."""
     owner, hulls, areas = regions._cluster_hulls(list(classes))
-    full = [extremes for spans in classes for extremes in all_row_extremes(spans)]
+    labelled = [(i, points) for i, spans in enumerate(classes) for points in all_row_extremes(spans)]
+    assert owner.tolist() == [i for i, _ in labelled]
+    full = [points for _, points in labelled]
     assert len(hulls) == len(full)
-    assert owner.tolist() == [i for i, spans in enumerate(classes) for _ in all_row_extremes(spans)]
-    for hull, area, extremes in zip(hulls, areas, full):
-        expected = convex_hull(extremes)
+    for hull, area, points in zip(hulls, areas, full):
+        expected = convex_hull(points)
         assert (hull is None) == (expected is None)
         if hull is not None:
             assert hull.shape == expected.shape and hull.tobytes() == expected.tobytes()

@@ -76,13 +76,8 @@ def _emit(payload: dict[str, Any], out: str | None) -> None:
         Path(out).write_text(text + "\n")
 
 
-def _report(args, cfg: PipelineConfig, **body: Any) -> dict[str, Any]:
-    return {
-        "version": __version__,
-        "seed": args.seed,
-        "config": cfg.to_dict(),
-        **body,
-    }
+def _report(**body: Any) -> dict[str, Any]:
+    return {"version": __version__, **body}
 
 
 def render_overlay(mask: SegmentationMask, regions: RegionSet) -> np.ndarray:
@@ -133,8 +128,14 @@ def cmd_run(args) -> int:
             stats = run_pipeline(source, sink, cfg)
     finally:
         sink.close()
-    report = _report(args, cfg, source=args.source, sink=args.sink, stats=stats.to_dict())
-    _emit(report, args.stats or args.out)
+    report = _report(
+        seed=args.seed,
+        config=cfg.to_dict(),
+        source=args.source,
+        sink=args.sink,
+        stats=stats.to_dict(),
+    )
+    _emit(report, args.stats)
     return 0
 
 
@@ -182,8 +183,6 @@ def cmd_eval(args) -> int:
         class_names[c]: iou(totals, c) for c in range(N_CLASSES)
     }
     report = _report(
-        args,
-        _load_config(args.config),
         per_class_iou=per_class,
         miou=miou(totals),
         accuracy=accuracy(pred_classes, gt_classes) if gt_classes else None,
@@ -215,10 +214,9 @@ def cmd_gen(args) -> int:
         mask, _ = generate(spec)
         write_mask(out_dir / f"{i:06d}.pgm", mask)
         (out_dir / f"{i:06d}.json").write_text(json.dumps(spec.to_dict(), indent=2) + "\n")
-    report = {
-        "version": __version__,
-        "seed": args.seed,
-        "config": {
+    report = _report(
+        seed=args.seed,
+        config={
             "count": args.count,
             "width": args.width,
             "height": args.height,
@@ -226,9 +224,9 @@ def cmd_gen(args) -> int:
             "noise": args.noise,
             "obstacles": args.obstacles,
         },
-        "out": str(out_dir),
-    }
-    print(json.dumps(report, indent=2))
+        out=str(out_dir),
+    )
+    _emit(report, None)
     return 0
 
 
@@ -236,8 +234,7 @@ def cmd_loss_check(args) -> int:
     result = check_gradients(cases=args.cases, seed=args.seed)
     worst = max(result["max_rel_error"].values())
     report = _report(
-        args,
-        _load_config(args.config),
+        seed=args.seed,
         gradient_check=result,
         tolerance=GRADIENT_TOLERANCE,
         passed=bool(worst <= GRADIENT_TOLERANCE),
@@ -258,8 +255,8 @@ def cmd_bench(args) -> int:
         warm_fps = run_pipeline(gen_source(warm_spec, args.seed), NullSink(), cfg).throughput_fps
     measured = run_pipeline(gen_source(spec, args.seed), NullSink(), cfg)
     report = _report(
-        args,
-        cfg,
+        seed=args.seed,
+        config=cfg.to_dict(),
         warmup={"frames": args.warmup, "throughput_fps": warm_fps},
         stats=measured.to_dict(),
     )
@@ -268,10 +265,13 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file")
-    shared.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    shared.add_argument("--out", help="write the JSON result here instead of stdout")
+    # Each command takes only the shared options it reads.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the JSON result here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="lanespace",
@@ -280,37 +280,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("process", parents=[shared], help="one mask to one region document")
+    p = sub.add_parser("process", parents=[config, out], help="one mask to one region document")
     p.add_argument("mask", help="input P5 mask file")
     p.add_argument("--road-class", help=f"road class name, one of: {', '.join(road_class_name(rc) for rc in RoadClass)}")
     p.add_argument("--overlay", help="also write an RGB overlay to this PPM path")
     p.set_defaults(func=cmd_process)
 
-    p = sub.add_parser("run", parents=[shared], help="stream masks through the pipeline")
+    p = sub.add_parser("run", parents=[config, seed], help="stream masks through the pipeline")
     p.add_argument("--source", required=True, help="dir:<path>, gen:<N[xWxH][@noise]>, or tcp:<host:port> to serve")
     p.add_argument("--sink", default="null", help="dir:<path>, tcp:<host:port>, or null")
-    p.add_argument("--stats", help="write the stats report here")
+    p.add_argument("--stats", help="write the stats report here instead of stdout")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("eval", parents=[shared], help="score predictions against ground truth")
+    p = sub.add_parser("eval", parents=[out], help="score predictions against ground truth")
     p.add_argument("--pred", required=True, help="directory of predicted masks or region documents")
     p.add_argument("--gt", required=True, help="directory of ground-truth masks")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gen", parents=[shared], help="write synthetic scenes with ground truth")
+    p = sub.add_parser("gen", parents=[seed], help="write synthetic scenes with ground truth")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--height", type=int, default=480)
     p.add_argument("--lanes", type=int, help="fixed lane count 1..3 (default random)")
     p.add_argument("--noise", type=float, help="fixed noise rate (default random up to 0.02)")
     p.add_argument("--obstacles", type=int, default=2, help="max obstacles per scene")
+    p.add_argument("--out", help="directory for the scene files (default scenes)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("loss-check", parents=[shared], help="finite-difference gradient audit")
+    p = sub.add_parser("loss-check", parents=[seed, out], help="finite-difference gradient audit")
     p.add_argument("--cases", type=int, default=1000)
     p.set_defaults(func=cmd_loss_check)
 
-    p = sub.add_parser("bench", parents=[shared], help="timed pipeline run with warmup")
+    p = sub.add_parser("bench", parents=[config, seed, out], help="timed pipeline run with warmup")
     p.add_argument("--frames", type=int, default=100)
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--width", type=int, default=640)

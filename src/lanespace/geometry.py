@@ -43,97 +43,81 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def is_convex_ccw(vertices: np.ndarray, tol: float = EPS_GEOM) -> bool:
-    """True when every consecutive turn is strictly counter-clockwise."""
-    v = np.asarray(vertices, dtype=np.float64)
-    if v.ndim != 2 or len(v) < 3 or v.shape[1] != 2 or not np.isfinite(v).all():
-        return False
-    a = np.roll(v, -1, axis=0) - v
-    b = np.roll(a, -1, axis=0)
-    turns = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return bool(np.all(turns > tol))
-
-
-def point_in_convex(vertices: np.ndarray, point, tol: float = EPS_GEOM) -> bool:
-    """True when the point is inside or within tol px of the boundary."""
-    v = np.asarray(vertices, dtype=np.float64)
-    e = np.roll(v, -1, axis=0) - v
-    d = np.asarray(point, dtype=np.float64) - v
-    cross = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]
-    # cross / |edge| is the signed distance to the edge line.
-    return bool(np.all(cross >= -tol * np.hypot(e[:, 0], e[:, 1])))
-
-
-def _dedupe_ring(v: list[np.ndarray]) -> np.ndarray | None:
-    # Drop consecutive (near-)duplicates, then collinear vertices.
+def _ring(vertices: np.ndarray) -> np.ndarray | None:
+    """The ring without consecutive (near-)duplicate or collinear vertices;
+    None when fewer than 3 remain or its area is at most EPS_AREA."""
     out: list[np.ndarray] = []
-    for p in v:
+    for p in vertices:
         if not out or max(abs(p[0] - out[-1][0]), abs(p[1] - out[-1][1])) > EPS_GEOM:
             out.append(p)
     while len(out) >= 2 and max(abs(out[0][0] - out[-1][0]), abs(out[0][1] - out[-1][1])) <= EPS_GEOM:
         out.pop()
     if len(out) < 3:
         return None
-    kept: list[np.ndarray] = []
     n = len(out)
-    for i in range(n):
-        if abs(_cross(out[i - 1], out[i], out[(i + 1) % n])) > EPS_GEOM:
-            kept.append(out[i])
+    kept = [out[i] for i in range(n) if abs(_cross(out[i - 1], out[i], out[(i + 1) % n])) > EPS_GEOM]
     if len(kept) < 3:
         return None
-    return np.array(kept)
+    ring = np.array(kept)
+    return ring if polygon_area(ring) > EPS_AREA else None
 
 
-def _clip(vertices: np.ndarray, a: np.ndarray, b: np.ndarray, keep_left: bool) -> np.ndarray | None:
-    """One Sutherland-Hodgman pass against the line through a->b.
+def _split(
+    vertices: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One Sutherland-Hodgman pass against the line through a->b, giving the
+    parts left of the directed edge (the inside of a counter-clockwise
+    polygon) and right of it; a part with fewer than 3 vertices is None.
 
-    keep_left keeps the half-plane to the left of the directed edge (the inside
-    of a counter-clockwise polygon); otherwise the right half-plane is kept.
+    The right part is the left part's clip with d negated. Negation is exact
+    and t = di / (di - dj) is unchanged by it, so both parts share each
+    crossing point bit for bit.
     """
     n = len(vertices)
     ex, ey = b[0] - a[0], b[1] - a[1]
     d = ex * (vertices[:, 1] - a[1]) - ey * (vertices[:, 0] - a[0])
-    if not keep_left:
-        d = -d
-    out: list[np.ndarray] = []
+    left: list[np.ndarray] = []
+    right: list[np.ndarray] = []
     for i in range(n):
         j = (i + 1) % n
         di, dj = d[i], d[j]
         if di >= -EPS_GEOM:
-            out.append(vertices[i])
+            left.append(vertices[i])
+        if di <= EPS_GEOM:
+            right.append(vertices[i])
         if (di > EPS_GEOM and dj < -EPS_GEOM) or (di < -EPS_GEOM and dj > EPS_GEOM):
             t = di / (di - dj)
-            out.append(vertices[i] + t * (vertices[j] - vertices[i]))
-    if len(out) < 3:
-        return None
-    return np.array(out)
+            cut = vertices[i] + t * (vertices[j] - vertices[i])
+            left.append(cut)
+            right.append(cut)
+    return (
+        np.array(left) if len(left) >= 3 else None,
+        np.array(right) if len(right) >= 3 else None,
+    )
 
 
 def convex_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Clip a against every edge of b; exact for convex inputs.
 
     A pair with a separating edge, an edge of b with every vertex of a more
-    than EPS_GEOM outside its line by the measure `_clip` uses, is None
+    than EPS_GEOM outside its line by the measure `_split` uses, is None
     before any clipping, as the clip path would give: every polygon the
     clips make lies in a, so the clip against that edge keeps no vertex.
     Rounding can keep only points within rounding error of that threshold,
-    all on one line, far too thin to pass `_dedupe_ring` or EPS_AREA.
+    all on one line, far too thin to pass `_ring`.
     """
     result: np.ndarray | None = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
-    # d[k, i] is `_clip`'s d for vertex i of a against edge k of b.
+    # d[k, i] is `_split`'s d for vertex i of a against edge k of b.
     e = np.roll(bv, -1, axis=0) - bv
     d = e[:, :1] * (result[:, 1] - bv[:, 1:]) - e[:, 1:] * (result[:, 0] - bv[:, :1])
     if (d < -EPS_GEOM).all(axis=1).any():
         return None
     for k in range(len(bv)):
-        result = _clip(result, bv[k], bv[(k + 1) % len(bv)], keep_left=True)
+        result = _split(result, bv[k], bv[(k + 1) % len(bv)])[0]
         if result is None:
             return None
-    result = _dedupe_ring(list(result))
-    if result is None or polygon_area(result) <= EPS_AREA:
-        return None
-    return result
+    return _ring(result)
 
 
 def convex_subtract(a: np.ndarray, inner: np.ndarray | None) -> list[np.ndarray]:
@@ -153,13 +137,10 @@ def convex_subtract(a: np.ndarray, inner: np.ndarray | None) -> list[np.ndarray]
     for k in range(len(iv)):
         if rest is None:
             break
-        p0, p1 = iv[k], iv[(k + 1) % len(iv)]
-        outside = _clip(rest, p0, p1, keep_left=False)
-        if outside is not None:
-            outside = _dedupe_ring(list(outside))
-            if outside is not None and polygon_area(outside) > EPS_AREA:
-                pieces.append(outside)
-        rest = _clip(rest, p0, p1, keep_left=True)
+        rest, outside = _split(rest, iv[k], iv[(k + 1) % len(iv)])
+        piece = None if outside is None else _ring(outside)
+        if piece is not None:
+            pieces.append(piece)
     return pieces
 
 

@@ -14,7 +14,7 @@ import socket
 import struct
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -112,11 +112,10 @@ def encode_frame(msg: FrameMessage) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, msg_type, msg.frame_id, len(body)) + body
 
 
-def decode_frame(data: bytes) -> FrameMessage:
-    """Decode one complete frame; every malformation has its own error class."""
-    if len(data) < HEADER_SIZE:
-        raise TruncatedError(f"{len(data)} bytes is shorter than a header")
-    magic, version, msg_type, frame_id, payload_len = _HEADER.unpack_from(data)
+def _payload_length(header: bytes) -> int:
+    """The payload length a header announces, once its magic, version,
+    message type and length bound have been checked."""
+    magic, version, msg_type, _, payload_len = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise MagicError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -125,6 +124,15 @@ def decode_frame(data: bytes) -> FrameMessage:
         raise MessageTypeError(f"unknown message type {msg_type}")
     if payload_len > _MAX_PAYLOAD:
         raise LengthError(f"payload length {payload_len} implausible")
+    return payload_len
+
+
+def decode_frame(data: bytes) -> FrameMessage:
+    """Decode one complete frame; every malformation has its own error class."""
+    if len(data) < HEADER_SIZE:
+        raise TruncatedError(f"{len(data)} bytes is shorter than a header")
+    payload_len = _payload_length(data)
+    msg_type, frame_id = _HEADER.unpack_from(data)[2:4]
     body = data[HEADER_SIZE:]
     if len(body) < payload_len:
         raise TruncatedError(f"payload needs {payload_len} bytes, got {len(body)}")
@@ -249,15 +257,14 @@ def _recv_exact(conn: socket.socket, n: int) -> bytes:
 
 
 def read_wire_frame(conn: socket.socket) -> FrameMessage | None:
-    """One frame from a stream socket; None on clean end-of-stream."""
+    """One frame from a stream socket; None on clean end-of-stream. A bad
+    header raises before its payload is read, so a stalled peer is not awaited."""
     header = _recv_exact(conn, HEADER_SIZE)
     if not header:
         return None
     if len(header) < HEADER_SIZE:
         raise TruncatedError("connection closed inside a header")
-    payload_len = _HEADER.unpack(header)[4]
-    if payload_len > _MAX_PAYLOAD:
-        raise LengthError(f"payload length {payload_len} implausible")
+    payload_len = _payload_length(header)
     body = _recv_exact(conn, payload_len)
     if len(body) < payload_len:
         raise TruncatedError("connection closed inside a payload")
@@ -315,19 +322,17 @@ class NullSink:
 
 
 class WireSink:
-    """Sends region frames over a connected stream socket."""
+    """Sends region frames over a connected stream socket, which it closes."""
 
-    def __init__(self, conn: socket.socket, owns: bool = False):
+    def __init__(self, conn: socket.socket):
         self.conn = conn
-        self.owns = owns
 
     def deliver(self, frame_id: int, document: bytes) -> None:
         frame = FrameMessage(frame_id, RegionPayload(document))
         self.conn.sendall(encode_frame(frame))
 
     def close(self) -> None:
-        if self.owns:
-            self.conn.close()
+        self.conn.close()
 
 
 class TeeSink:
@@ -362,7 +367,7 @@ class PipelineConfig:
             raise ValueError(f"bad pipeline config: {e}") from None
 
     def to_dict(self) -> dict[str, Any]:
-        return {"extraction": self.extraction.to_dict()}
+        return asdict(self)
 
 
 @dataclass
@@ -525,5 +530,5 @@ def make_sink(spec: str):
         return DirSink(rest)
     if kind == "tcp" and rest:
         host, port = parse_address(rest)
-        return WireSink(socket.create_connection((host, port), timeout=30.0), owns=True)
+        return WireSink(socket.create_connection((host, port), timeout=30.0))
     raise ValueError(f"unsupported sink {spec!r}")

@@ -80,17 +80,6 @@ class ExtractionConfig:
         except TypeError as e:
             raise ValueError(f"bad extraction config: {e}") from None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "downsample_factor": self.downsample_factor,
-            "cluster": {
-                "eps": self.cluster.eps,
-                "min_pts": self.cluster.min_pts,
-                "min_cluster_size": self.cluster.min_cluster_size,
-            },
-            "min_region_area": self.min_region_area,
-        }
-
 
 def resolve_overlaps(
     regions: list[tuple[ClassId, list[np.ndarray]]],

@@ -10,8 +10,9 @@ relabel clusters below min_cluster_size to noise, renumbering the survivors
 contiguously from 0. For pixels from `extract_points`, index order is
 row-major order.
 
-`convex_hull` is Andrew's monotone chain over any points, and
-`clip_intersection` is `convex_intersection` without its separating-edge test.
+`convex_hull` is Andrew's monotone chain over any points,
+`clip_intersection` is `convex_intersection` without its separating-edge test,
+and `is_convex_ccw` and `point_in_convex` check the polygons the package makes.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from lanespace.clustering import NOISE, ClusterParams, _components
 from lanespace.core import ClassId, SegmentationMask
-from lanespace.geometry import EPS_AREA, _clip, _cross, _dedupe_ring, polygon_area
+from lanespace.geometry import EPS_AREA, EPS_GEOM, _cross, _ring, _split, polygon_area
 
 
 def extract_points(mask: SegmentationMask, class_id: ClassId | int) -> np.ndarray:
@@ -184,10 +185,28 @@ def clip_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     result: np.ndarray | None = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     for k in range(len(bv)):
-        result = _clip(result, bv[k], bv[(k + 1) % len(bv)], keep_left=True)
+        result = _split(result, bv[k], bv[(k + 1) % len(bv)])[0]
         if result is None:
             return None
-    result = _dedupe_ring(list(result))
-    if result is None or polygon_area(result) <= EPS_AREA:
-        return None
-    return result
+    return _ring(result)
+
+
+def is_convex_ccw(vertices: np.ndarray, tol: float = EPS_GEOM) -> bool:
+    """True when every consecutive turn is strictly counter-clockwise."""
+    v = np.asarray(vertices, dtype=np.float64)
+    if v.ndim != 2 or len(v) < 3 or v.shape[1] != 2 or not np.isfinite(v).all():
+        return False
+    a = np.roll(v, -1, axis=0) - v
+    b = np.roll(a, -1, axis=0)
+    turns = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return bool(np.all(turns > tol))
+
+
+def point_in_convex(vertices: np.ndarray, point, tol: float = EPS_GEOM) -> bool:
+    """True when the point is inside or within tol px of the boundary."""
+    v = np.asarray(vertices, dtype=np.float64)
+    e = np.roll(v, -1, axis=0) - v
+    d = np.asarray(point, dtype=np.float64) - v
+    cross = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]
+    # cross / |edge| is the signed distance to the edge line.
+    return bool(np.all(cross >= -tol * np.hypot(e[:, 0], e[:, 1])))

@@ -149,7 +149,16 @@ def test_run_honours_a_config_file(tmp_path):
          "--sink", "null", "--stats", str(stats_file)]
     ) == 0
     report = json.loads(stats_file.read_text())
-    assert report["config"]["extraction"]["downsample_factor"] == 2
+    # The whole config is echoed, with its fields in declaration order.
+    assert json.dumps(report["config"]) == json.dumps(
+        {
+            "extraction": {
+                "downsample_factor": 2,
+                "cluster": {"eps": 1.5, "min_pts": 4, "min_cluster_size": 12},
+                "min_region_area": 64.0,
+            }
+        }
+    )
 
 
 def test_run_reads_the_config_file_once(tmp_path, monkeypatch):
@@ -316,6 +325,7 @@ def test_eval_of_identical_directories_is_perfect(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--pred", str(scenes), "--gt", str(scenes)]) == 0
     report = json.loads(capsys.readouterr().out)
+    assert "config" not in report and "seed" not in report
     assert report["miou"] == pytest.approx(1.0)
     assert report["accuracy"] == pytest.approx(1.0)
     assert report["n_images"] == 2
@@ -387,6 +397,7 @@ def test_loss_check_passes_and_reports(tmp_path):
     out = tmp_path / "grad.json"
     assert main(["loss-check", "--cases", "50", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
+    assert "config" not in report
     assert report["passed"] is True
     assert report["tolerance"] == 1e-5
     assert report["gradient_check"]["max_rel_error"]["weighted_ce_grad"] < 1e-5
@@ -419,4 +430,28 @@ def test_bench_rejects_a_negative_warmup(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert main(["bench", "--frames", "2", "--warmup", "-1", "--out", str(out)]) == 2
     assert "--warmup must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--count", "1", "--config", "{cfg}", "--out", "{out}"],
+        ["process", "{mask}", "--seed", "1", "--out", "{out}"],
+        ["eval", "--pred", "{tmp}", "--gt", "{tmp}", "--seed", "1", "--out", "{out}"],
+        ["eval", "--pred", "{tmp}", "--gt", "{tmp}", "--config", "{cfg}", "--out", "{out}"],
+        ["loss-check", "--cases", "1", "--config", "{cfg}", "--out", "{out}"],
+        ["run", "--source", "gen:1x64x64", "--out", "{out}"],
+    ],
+    ids=["gen-config", "process-seed", "eval-seed", "eval-config", "loss-check-config", "run-out"],
+)
+def test_an_option_the_command_does_not_read_is_refused(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    out = tmp_path / "out"
+    names = {"cfg": cfg, "out": out, "mask": rect_mask(tmp_path), "tmp": tmp_path}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**names) for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()

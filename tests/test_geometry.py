@@ -11,15 +11,13 @@ from lanespace.geometry import (
     EPS_GEOM,
     convex_intersection,
     convex_subtract,
-    is_convex_ccw,
     pieces_area,
-    point_in_convex,
     polygon_area,
     polygon_moments,
     rasterize_pieces,
 )
 from lanespace.regions import LANE_EGO, DrivableRegion
-from oracles import clip_intersection, convex_hull
+from oracles import clip_intersection, convex_hull, is_convex_ccw, point_in_convex
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -246,7 +244,7 @@ def contact_pairs(rng):
     """Convex pairs that lie apart, touch at a vertex, share an edge, or sit
     a few EPS_GEOM either side of touching; each pair also scaled by 1/3.
 
-    A gap is in the units of `_clip`'s d against the shared edge. Overlaps
+    A gap is in the units of `_split`'s d against the shared edge. Overlaps
     of 1e-7 to 1e-3 straddle EPS_AREA, where the clip path stops giving None.
     """
     gaps = [t * EPS_GEOM for t in (-2, -1, -0.5, 0, 0.5, 1, 2)] + [-1e-7, -1e-5, -1e-3]
@@ -273,8 +271,8 @@ def contact_pairs(rng):
 
 def test_intersection_equals_the_clip_only_path(monkeypatch):
     clips = []
-    clip = geometry._clip
-    monkeypatch.setattr(geometry, "_clip", lambda *a, **kw: clips.append(1) or clip(*a, **kw))
+    split = geometry._split
+    monkeypatch.setattr(geometry, "_split", lambda *a: clips.append(1) or split(*a))
     rng = np.random.default_rng(12)
     pairs = skipped = 0
     for a, b in contact_pairs(rng):

@@ -10,6 +10,8 @@ import pytest
 from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.netpbm import write_mask
 from lanespace.pipeline import (
+    MSG_MASK,
+    VERSION,
     PipelineClient,
     PipelineConfig,
     SourceFailure,
@@ -20,6 +22,7 @@ from lanespace.pipeline import (
     make_source,
     parse_address,
     read_road_class,
+    read_wire_frame,
     run_pipeline,
     serve,
 )
@@ -361,6 +364,31 @@ def test_malformed_wire_frame_closes_the_connection():
     assert leftover == b""
     assert result["stats"].frames_processed == 0
     assert result["stats"].errors == 1
+
+
+def test_a_bad_header_is_refused_before_its_payload_arrives():
+    # The header announces 100 payload bytes that never come; the server
+    # must not wait for a payload it would reject.
+    bad = b"XXXX" + bytes([VERSION, MSG_MASK]) + (0).to_bytes(4, "big") + (100).to_bytes(4, "big")
+    thread, port, result = start_server()
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+        conn.sendall(bad)
+        thread.join(5.0)
+        assert not thread.is_alive()
+    assert result["stats"].errors == 1
+
+
+def test_the_tcp_sink_closes_its_socket():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        sink = make_sink(f"tcp:127.0.0.1:{server.getsockname()[1]}")
+        peer, _ = server.accept()
+        with peer:
+            peer.settimeout(10.0)
+            sink.deliver(3, b"{}")
+            sink.close()
+            assert sink.conn.fileno() == -1
+            assert read_wire_frame(peer).payload.document == b"{}"
+            assert read_wire_frame(peer) is None
 
 
 def test_non_increasing_frame_ids_stop_the_stream():

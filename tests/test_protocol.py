@@ -242,6 +242,35 @@ def test_wire_read_rejects_mid_payload_close():
             read_wire_frame(b)
 
 
+# Whole frames, their headers, and a header announcing the largest payload,
+# so the reads get past the header checks as well as fail at them.
+_WIRE_PIECES = st.one_of(
+    st.binary(max_size=64),
+    st.sampled_from(
+        [
+            good_frame_bytes(),
+            encode_frame(FrameMessage(2, RegionPayload(b"{}"))),
+            good_frame_bytes()[:HEADER_SIZE],
+            MAGIC + bytes([VERSION, MSG_REGIONS]) + bytes(4) + (1 << 26).to_bytes(4, "big"),
+        ]
+    ),
+)
+
+
+@given(st.lists(_WIRE_PIECES, max_size=40).map(b"".join))
+def test_wire_reads_of_any_bytes_end_in_a_frame_eof_or_protocol_error(data):
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(5.0)  # a read that would hang fails as a timeout instead
+        a.sendall(data)
+        a.shutdown(socket.SHUT_WR)
+        try:
+            while read_wire_frame(b) is not None:
+                pass
+        except ProtocolError:
+            pass
+
+
 def test_region_messages_pass_msg_type_constant():
     raw = encode_frame(FrameMessage(1, RegionPayload(b"{}")))
     assert raw[5] == MSG_REGIONS

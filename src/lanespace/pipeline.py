@@ -34,6 +34,11 @@ _HEADER = struct.Struct(">4sBBII")  # magic, version, msg_type, frame_id, payloa
 _MASK_HEAD = struct.Struct(">HHB")  # width, height, road_class
 HEADER_SIZE = _HEADER.size
 _MAX_PAYLOAD = 1 << 26
+_RECV_CHUNK = 1 << 16  # at most this much per recv, so memory follows the bytes that arrive
+# Seconds a served connection waits for the peer's next bytes (then its stream
+# ends in one SourceFailure) or to send a reply (then the run raises
+# TimeoutError); also the PipelineClient and tcp: sink socket timeout.
+IDLE_TIMEOUT_S = 30.0
 
 
 class ProtocolError(ValueError):
@@ -69,7 +74,7 @@ class MaskPayload:
     width: int
     height: int
     road_class: RoadClass
-    mask_bytes: bytes
+    mask_bytes: bytes | memoryview
 
     def to_mask(self) -> SegmentationMask:
         data = np.frombuffer(self.mask_bytes, dtype=np.uint8)
@@ -100,22 +105,28 @@ def mask_frame(frame_id: int, mask: SegmentationMask, road_class: RoadClass) -> 
 
 
 def encode_frame(msg: FrameMessage) -> bytes:
-    if isinstance(msg.payload, MaskPayload):
-        p = msg.payload
+    """One frame's bytes; a frame that every reader would refuse raises ValueError."""
+    p = msg.payload
+    if isinstance(p, MaskPayload):
         if len(p.mask_bytes) != p.width * p.height:
             raise ValueError("mask byte length must equal width*height")
-        body = _MASK_HEAD.pack(p.width, p.height, int(p.road_class)) + p.mask_bytes
+        if max(p.width, p.height) > 0xFFFF:
+            raise ValueError(f"a {p.width}x{p.height} mask has a side above 65535")
+        parts = (_MASK_HEAD.pack(p.width, p.height, int(p.road_class)), p.mask_bytes)
         msg_type = MSG_MASK
     else:
-        body = msg.payload.document
+        parts = (p.document,)
         msg_type = MSG_REGIONS
-    return _HEADER.pack(MAGIC, VERSION, msg_type, msg.frame_id, len(body)) + body
+    payload_len = sum(map(len, parts))
+    if payload_len > _MAX_PAYLOAD:
+        raise ValueError(f"payload length {payload_len} exceeds {_MAX_PAYLOAD}")
+    return b"".join((_HEADER.pack(MAGIC, VERSION, msg_type, msg.frame_id, payload_len), *parts))
 
 
-def _payload_length(header: bytes) -> int:
-    """The payload length a header announces, once its magic, version,
-    message type and length bound have been checked."""
-    magic, version, msg_type, _, payload_len = _HEADER.unpack_from(header)
+def _payload_length(header: bytes | bytearray) -> tuple[int, int, int]:
+    """The message type, frame id and payload length a header announces, once
+    its magic, version, message type and length bound have been checked."""
+    magic, version, msg_type, frame_id, payload_len = _HEADER.unpack_from(header)
     if magic != MAGIC:
         raise MagicError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -124,16 +135,16 @@ def _payload_length(header: bytes) -> int:
         raise MessageTypeError(f"unknown message type {msg_type}")
     if payload_len > _MAX_PAYLOAD:
         raise LengthError(f"payload length {payload_len} implausible")
-    return payload_len
+    return msg_type, frame_id, payload_len
 
 
-def decode_frame(data: bytes) -> FrameMessage:
-    """Decode one complete frame; every malformation has its own error class."""
+def decode_frame(data: bytes | bytearray) -> FrameMessage:
+    """Decode one complete frame, a mask payload as a view into data; every
+    malformation has its own error class."""
     if len(data) < HEADER_SIZE:
         raise TruncatedError(f"{len(data)} bytes is shorter than a header")
-    payload_len = _payload_length(data)
-    msg_type, frame_id = _HEADER.unpack_from(data)[2:4]
-    body = data[HEADER_SIZE:]
+    msg_type, frame_id, payload_len = _payload_length(data)
+    body = memoryview(data)[HEADER_SIZE:]
     if len(body) < payload_len:
         raise TruncatedError(f"payload needs {payload_len} bytes, got {len(body)}")
     if len(body) > payload_len:
@@ -143,7 +154,7 @@ def decode_frame(data: bytes) -> FrameMessage:
     if len(body) < _MASK_HEAD.size:
         raise TruncatedError("mask payload shorter than its fixed fields")
     width, height, rc = _MASK_HEAD.unpack_from(body)
-    mask_bytes = bytes(body[_MASK_HEAD.size :])
+    mask_bytes = body[_MASK_HEAD.size :]
     if len(mask_bytes) != width * height:
         raise LengthError(
             f"mask needs {width * height} bytes, got {len(mask_bytes)}"
@@ -246,39 +257,42 @@ def _parse_gen_spec(spec: str) -> tuple[int, int, int, float | None]:
     return count, width, height, noise
 
 
-def _recv_exact(conn: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
+def _recv_into(conn: socket.socket, buf: bytearray, n: int) -> None:
+    """Append n bytes from conn to buf, or fewer if the stream ends first."""
+    end = len(buf) + n
+    while len(buf) < end:
+        chunk = conn.recv(min(end - len(buf), _RECV_CHUNK))
         if not chunk:
-            break
-        buf.extend(chunk)
-    return bytes(buf)
+            return
+        buf += chunk
 
 
 def read_wire_frame(conn: socket.socket) -> FrameMessage | None:
-    """One frame from a stream socket; None on clean end-of-stream. A bad
-    header raises before its payload is read, so a stalled peer is not awaited."""
-    header = _recv_exact(conn, HEADER_SIZE)
-    if not header:
+    """One frame from a stream socket, read into one buffer; None on clean
+    end-of-stream. A bad header raises before its payload is read, so a
+    stalled peer is not awaited."""
+    buf = bytearray()
+    _recv_into(conn, buf, HEADER_SIZE)
+    if not buf:
         return None
-    if len(header) < HEADER_SIZE:
+    if len(buf) < HEADER_SIZE:
         raise TruncatedError("connection closed inside a header")
-    payload_len = _payload_length(header)
-    body = _recv_exact(conn, payload_len)
-    if len(body) < payload_len:
-        raise TruncatedError("connection closed inside a payload")
-    return decode_frame(header + body)
+    _recv_into(conn, buf, _payload_length(buf)[2])
+    return decode_frame(buf)
 
 
 def socket_source(conn: socket.socket) -> Iterator[SourceFrame | SourceFailure]:
-    """Mask frames from a connection until end-of-stream or the first violation."""
+    """Mask frames from a connection until end-of-stream, the first violation
+    or a read that times out."""
     last_id = -1
     while True:
         try:
             msg = read_wire_frame(conn)
         except ProtocolError as e:
             yield SourceFailure(f"protocol: {e}")
+            return
+        except TimeoutError:
+            yield SourceFailure(f"idle: no bytes from the peer for {conn.gettimeout():g} s")
             return
         if msg is None:
             return
@@ -376,35 +390,23 @@ class PipelineStats:
     errors: int = 0
     elapsed_s: float = 0.0
     throughput_fps: float = 0.0
-    latency_ms_min: float | None = None
-    latency_ms_mean: float | None = None
-    latency_ms_p99: float | None = None
-    service_ms_min: float | None = None
-    service_ms_mean: float | None = None
-    service_ms_p99: float | None = None
+    latency_ms: dict[str, float | None] = field(default_factory=lambda: _spread([]))
+    service_ms: dict[str, float | None] = field(default_factory=lambda: _spread([]))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "frames_processed": self.frames_processed,
-            "errors": self.errors,
-            "elapsed_s": self.elapsed_s,
-            "throughput_fps": self.throughput_fps,
-            "latency_ms": {
-                "min": self.latency_ms_min,
-                "mean": self.latency_ms_mean,
-                "p99": self.latency_ms_p99,
-            },
-            "service_ms": {
-                "min": self.service_ms_min,
-                "mean": self.service_ms_mean,
-                "p99": self.service_ms_p99,
-            },
-        }
+        return asdict(self)
 
 
-def _spread(values: list[float]) -> tuple[float, float, float]:
+def _spread(values: list[float]) -> dict[str, float | None]:
+    """The min, mean and p99 of values; each None when there are none."""
+    if not values:
+        return dict.fromkeys(("min", "mean", "p99"))
     arr = np.asarray(values)
-    return float(arr.min()), float(arr.mean()), float(np.percentile(arr, 99))
+    return {
+        "min": float(arr.min()),
+        "mean": float(arr.mean()),
+        "p99": float(np.percentile(arr, 99)),
+    }
 
 
 def run_pipeline(
@@ -444,9 +446,8 @@ def run_pipeline(
     stats.elapsed_s = time.perf_counter() - t_start
     if stats.elapsed_s > 0:
         stats.throughput_fps = stats.frames_processed / stats.elapsed_s
-    if latencies:
-        stats.latency_ms_min, stats.latency_ms_mean, stats.latency_ms_p99 = _spread(latencies)
-        stats.service_ms_min, stats.service_ms_mean, stats.service_ms_p99 = _spread(services)
+    stats.latency_ms = _spread(latencies)
+    stats.service_ms = _spread(services)
     return stats
 
 
@@ -469,8 +470,10 @@ def serve(
 ) -> PipelineStats:
     """Answer one region frame per mask frame on a single accepted connection.
 
-    Returns when the client closes the stream; a malformed frame closes the
-    connection and is counted in stats.errors.
+    Returns when the client closes the stream. A malformed frame, or a peer
+    that sends nothing for IDLE_TIMEOUT_S (30 s) while a frame is awaited,
+    closes the connection and is counted in stats.errors. The same timeout
+    bounds each reply's send, whose expiry ends the run with TimeoutError.
     """
     host, port = parse_address(address)
     with socket.create_server((host, port)) as server:
@@ -482,6 +485,7 @@ def serve(
             # previous one is ACKed, and the client delays that ACK until it
             # sends its next mask: replies arrive one frame period late.
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(IDLE_TIMEOUT_S)
             sink = WireSink(conn)
             if extra_sink is not None:
                 sink = TeeSink(sink, extra_sink)
@@ -491,7 +495,7 @@ def serve(
 class PipelineClient:
     """Blocking client for a served pipeline: send a mask, read the answer."""
 
-    def __init__(self, address: str, timeout: float | None = 30.0):
+    def __init__(self, address: str, timeout: float | None = IDLE_TIMEOUT_S):
         host, port = parse_address(address)
         self.conn = socket.create_connection((host, port), timeout=timeout)
 
@@ -530,5 +534,5 @@ def make_sink(spec: str):
         return DirSink(rest)
     if kind == "tcp" and rest:
         host, port = parse_address(rest)
-        return WireSink(socket.create_connection((host, port), timeout=30.0))
+        return WireSink(socket.create_connection((host, port), timeout=IDLE_TIMEOUT_S))
     raise ValueError(f"unsupported sink {spec!r}")

@@ -9,7 +9,9 @@ import pytest
 
 from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.netpbm import write_mask
+from lanespace import pipeline
 from lanespace.pipeline import (
+    HEADER_SIZE,
     MSG_MASK,
     VERSION,
     PipelineClient,
@@ -17,14 +19,17 @@ from lanespace.pipeline import (
     SourceFailure,
     SourceFrame,
     dir_source,
+    encode_frame,
     gen_source,
     make_sink,
     make_source,
+    mask_frame,
     parse_address,
     read_road_class,
     read_wire_frame,
     run_pipeline,
     serve,
+    socket_source,
 )
 from lanespace.regions import ExtractionConfig
 
@@ -181,15 +186,15 @@ def test_service_time_leaves_out_the_wait_for_the_source():
 
     stats = run_pipeline(slow_source(), CaptureSink(), FAST_CFG)
     assert stats.frames_processed == 4
-    assert stats.latency_ms_mean >= 50.0
-    assert stats.service_ms_mean < 10.0
+    assert stats.latency_ms["mean"] >= 50.0
+    assert stats.service_ms["mean"] < 10.0
 
 
 def test_empty_source_yields_empty_stats():
     stats = run_pipeline([], CaptureSink(), FAST_CFG)
     assert stats.frames_processed == 0
-    assert stats.latency_ms_mean is None
-    assert stats.service_ms_mean is None
+    assert stats.latency_ms["mean"] is None
+    assert stats.service_ms["mean"] is None
 
 
 # --- sources ----------------------------------------------------------------
@@ -376,6 +381,38 @@ def test_a_bad_header_is_refused_before_its_payload_arrives():
         thread.join(5.0)
         assert not thread.is_alive()
     assert result["stats"].errors == 1
+
+
+def stalled_frame_bytes(stall):
+    """The bytes of one mask frame up to where its sender stalls."""
+    f = small_frame(0)
+    frame = encode_frame(mask_frame(f.frame_id, f.mask, f.road_class))
+    return frame[: {"after the header": HEADER_SIZE, "inside the payload": len(frame) // 2}[stall]]
+
+
+@pytest.mark.parametrize("stall", ["after the header", "inside the payload"])
+def test_a_stalled_peer_ends_the_served_run_after_the_idle_timeout(monkeypatch, stall):
+    monkeypatch.setattr(pipeline, "IDLE_TIMEOUT_S", 0.2)
+    thread, port, result = start_server()
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+        conn.sendall(stalled_frame_bytes(stall))
+        thread.join(5.0)
+        assert not thread.is_alive()
+    assert "error" not in result
+    assert result["stats"].frames_processed == 0
+    assert result["stats"].errors == 1
+
+
+@pytest.mark.parametrize("stall", ["after the header", "inside the payload"])
+def test_a_read_timeout_is_one_source_failure_that_names_it(stall):
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(0.2)
+        a.sendall(stalled_frame_bytes(stall))
+        items = list(socket_source(b))
+    assert len(items) == 1
+    assert isinstance(items[0], SourceFailure)
+    assert items[0].reason == "idle: no bytes from the peer for 0.2 s"
 
 
 def test_the_tcp_sink_closes_its_socket():

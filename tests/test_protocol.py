@@ -1,4 +1,6 @@
 import socket
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lanespace.pipeline import (
     MSG_MASK,
     MSG_REGIONS,
     VERSION,
+    _MAX_PAYLOAD,
     FrameMessage,
     LengthError,
     MagicError,
@@ -275,3 +278,70 @@ def test_region_messages_pass_msg_type_constant():
     raw = encode_frame(FrameMessage(1, RegionPayload(b"{}")))
     assert raw[5] == MSG_REGIONS
     assert good_frame_bytes()[5] == MSG_MASK
+
+
+def test_encode_refuses_a_mask_side_the_header_cannot_carry():
+    mask = SegmentationMask(np.zeros((1, 70000), dtype=np.uint8))
+    with pytest.raises(ValueError, match="65535"):
+        encode_frame(mask_frame(0, mask, RoadClass.UNKNOWN))
+
+
+# bytes(n) is zero-filled by calloc, so these untouched payloads cost address
+# space, not memory.
+_OVERSIZED = {
+    "region": lambda: RegionPayload(bytes(_MAX_PAYLOAD + 1)),
+    "mask": lambda: MaskPayload(8192, 8192, RoadClass.UNKNOWN, bytes(8192 * 8192)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OVERSIZED))
+def test_encode_refuses_a_payload_every_reader_refuses(kind):
+    with pytest.raises(ValueError, match="exceeds"):
+        encode_frame(FrameMessage(0, _OVERSIZED[kind]()))
+
+
+# --- memory of a stream read ------------------------------------------------
+
+
+def traced_peak(read):
+    """read()'s result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        out = read()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_mask_read_and_its_mask_hold_the_frame_about_twice():
+    mask = SegmentationMask(np.ones((480, 640), dtype=np.uint8))
+    frame = encode_frame(mask_frame(1, mask, RoadClass.HIGHWAY))
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(10.0)
+        sender = threading.Thread(target=a.sendall, args=(frame,))
+
+        def read():
+            sender.start()
+            return read_wire_frame(b).payload.to_mask()
+
+        got, peak = traced_peak(read)
+        sender.join(10.0)
+    assert got == mask
+    assert peak <= 2.5 * len(frame)
+
+
+def test_memory_follows_the_bytes_that_arrive_not_the_announced_length():
+    header = MAGIC + bytes([VERSION, MSG_MASK]) + bytes(4) + _MAX_PAYLOAD.to_bytes(4, "big")
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(10.0)
+        a.sendall(header + bytes(1000))
+        a.shutdown(socket.SHUT_WR)
+
+        def read():
+            with pytest.raises(TruncatedError):
+                read_wire_frame(b)
+
+        _, peak = traced_peak(read)
+    assert peak < 1 << 20

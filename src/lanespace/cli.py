@@ -1,4 +1,4 @@
-"""Operator entry points: process, run, eval, gen, loss-check, bench."""
+"""Operator entry points: process, run, eval, gen, loss-check."""
 from __future__ import annotations
 
 import argparse
@@ -18,9 +18,7 @@ from .losses import check_gradients
 from .metrics import N_CLASSES, ConfusionCounts, accuracy, confusion, iou, miou
 from .netpbm import PnmError, read_mask, write_mask, write_rgb
 from .pipeline import (
-    NullSink,
     PipelineConfig,
-    gen_source,
     make_sink,
     make_source,
     read_road_class,
@@ -136,7 +134,8 @@ def cmd_run(args) -> int:
         stats=stats.to_dict(),
     )
     _emit(report, args.stats)
-    return 0
+    # The report is written either way; a frame that failed fails the run.
+    return 1 if stats.errors else 0
 
 
 def _document_to_mask(doc_path: Path, width: int, height: int) -> SegmentationMask:
@@ -243,27 +242,6 @@ def cmd_loss_check(args) -> int:
     return 0 if worst <= GRADIENT_TOLERANCE else 1
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
-    spec = f"{args.frames}x{args.width}x{args.height}"
-    if args.noise is not None:
-        spec += f"@{args.noise}"
-    check_integer("--warmup", args.warmup, 0)
-    warm_fps = None
-    if args.warmup:
-        warm_spec = f"{args.warmup}x{args.width}x{args.height}"
-        warm_fps = run_pipeline(gen_source(warm_spec, args.seed), NullSink(), cfg).throughput_fps
-    measured = run_pipeline(gen_source(spec, args.seed), NullSink(), cfg)
-    report = _report(
-        seed=args.seed,
-        config=cfg.to_dict(),
-        warmup={"frames": args.warmup, "throughput_fps": warm_fps},
-        stats=measured.to_dict(),
-    )
-    _emit(report, args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Each command takes only the shared options it reads.
     config = argparse.ArgumentParser(add_help=False)
@@ -311,13 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=1000)
     p.set_defaults(func=cmd_loss_check)
 
-    p = sub.add_parser("bench", parents=[config, seed, out], help="timed pipeline run with warmup")
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--warmup", type=int, default=10)
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=480)
-    p.add_argument("--noise", type=float)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -114,31 +114,31 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     if cells == 1:
         return Spans(none, none, none, none)  # clusters of one pixel each
     reach = len(hw) - 1
-    # Core: the stencil holds at least min_pts members, the pixel included.
-    # Its rows are summed from one horizontal window sum, widened to row 0's
-    # half-width and then narrowed row by row outward.
-    pixels = member.view(np.uint8)
-    window = pixels.astype(np.min_scalar_type(cells))
-    for half in range(1, hw[0] + 1):
-        window[:, half:] += pixels[:, :-half]
-        window[:, :-half] += pixels[:, half:]
-    counts = window.copy()
-    for dy in range(1, reach + 1):
-        for half in range(hw[dy - 1], hw[dy], -1):
-            window[:, half:] -= pixels[:, :-half]
-            window[:, :-half] -= pixels[:, half:]
-        counts[dy:] += window[:-dy]
-        counts[:-dy] += window[dy:]
-    # Core pixels in a flat index whose rows are w apart: one empty column in
+    # Members in a flat index whose rows are w apart: one empty column in
     # front of each row and hw[0], at least one, after it, so that neither a
     # run nor a stencil row's window reaches into another row.
     w = width + 1 + max(int(hw[0]), 1)
-    core = np.zeros((height, w), dtype=bool)
-    inner = core[:, 1 : width + 1]
-    np.logical_and(member, counts >= params.min_pts, out=inner)
+    padded = np.zeros((height, w), dtype=bool)
+    padded[:, 1 : width + 1] = member
+    flat = padded.ravel()
+    # Core: the stencil holds at least min_pts members, the pixel included.
+    # Its rows are summed from one horizontal window sum, widened to row 0's
+    # half-width and then narrowed row by row outward.
+    pixels = flat.view(np.uint8)
+    window = pixels.astype(np.min_scalar_type(cells))
+    for half in range(1, hw[0] + 1):
+        window[half:] += pixels[:-half]
+        window[:-half] += pixels[half:]
+    counts = window.copy()
+    for dy in range(1, reach + 1):
+        for half in range(hw[dy - 1], hw[dy], -1):
+            window[half:] -= pixels[:-half]
+            window[:-half] -= pixels[half:]
+        counts[dy * w :] += window[: -dy * w]
+        counts[: -dy * w] += window[dy * w :]
+    core = flat & (counts >= params.min_pts)
     # Runs of core pixels in raster order: start[i] < end[i] < start[i + 1].
-    flat = core.ravel()
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    edges = np.flatnonzero(core[1:] != core[:-1]) + 1
     start, end = edges[0::2], edges[1::2]
     n = len(start)
     if n == 0:
@@ -162,10 +162,9 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     # 2h + 1 columns with h <= hw[0], so of the runs meeting it at most one
     # neighbouring pair is more than hw[0] columns apart, and every other pair
     # is joined within its row (with hw[0] <= 1 it meets at most two runs).
-    border = np.flatnonzero(member > inner)
+    border = np.flatnonzero(flat > core)
     # A stencil count of 1 is the pixel alone: no core pixel to claim it.
-    border = border[counts.ravel()[border] >= 2]
-    border += border // width * (w - width) + 1
+    border = border[counts[border] >= 2]
     rows = np.arange(-reach, reach + 1)
     halves = hw[np.abs(rows)]
     lo = (border + (rows * w - halves)[:, None]).ravel()

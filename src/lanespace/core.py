@@ -56,8 +56,9 @@ class SegmentationMask:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        # A private copy: freezing it leaves the caller's array writable.
-        d = np.array(self.data, dtype=np.uint8)
+        # A private row-major copy: freezing it leaves the caller's array
+        # writable, and its buffer is the mask's bytes in raster order.
+        d = np.array(self.data, dtype=np.uint8, order="C")
         if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
             raise ValueError(f"mask must be a 2-D grid, got shape {d.shape}")
         if d.max(initial=0) > max(ClassId):

@@ -1,8 +1,8 @@
 """Training mathematics as gradient-checked numerics.
 
-Weighted cross-entropy with inverse-log-frequency class weights, the two-task
-total loss in log-sigma parametrization, and the polynomial LR schedule. All
-gradients are closed-form; no autodiff involved.
+Weighted cross-entropy with inverse-log-frequency class weights and the
+two-task total loss in log-sigma parametrization. All gradients are
+closed-form; no autodiff involved.
 """
 from __future__ import annotations
 
@@ -24,18 +24,6 @@ def enet_weights(probabilities: np.ndarray, k: float = 1.02) -> np.ndarray:
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
     return 1.0 / np.log(k + p)
-
-
-@dataclass(frozen=True)
-class ClassWeights:
-    weights: np.ndarray
-    k: float
-    probabilities: np.ndarray
-
-    @classmethod
-    def from_probabilities(cls, probabilities, k: float = 1.02) -> "ClassWeights":
-        p = np.asarray(probabilities, dtype=np.float64)
-        return cls(weights=enet_weights(p, k), k=k, probabilities=p)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -62,27 +50,6 @@ def weighted_ce_grad(logits: np.ndarray, target: int, weights: np.ndarray) -> np
     g = w[target] * p
     g[target] -= w[target]
     return g
-
-
-def segmentation_ce(logit_map: np.ndarray, target_mask: np.ndarray, weights: np.ndarray) -> float:
-    """Mean over pixels of the per-pixel weighted cross-entropy.
-
-    logit_map has shape (classes, h, w); target_mask has shape (h, w).
-    """
-    z = np.asarray(logit_map, dtype=np.float64)
-    t = np.asarray(target_mask)
-    w = np.asarray(weights, dtype=np.float64)
-    if z.ndim != 3 or t.shape != z.shape[1:]:
-        raise ValueError(
-            f"shape mismatch: logits {z.shape} vs targets {t.shape}"
-        )
-    if t.min(initial=0) < 0 or t.max(initial=0) >= z.shape[0]:
-        raise ValueError("target mask contains out-of-range classes")
-    zs = z - z.max(axis=0, keepdims=True)
-    log_p = zs - np.log(np.exp(zs).sum(axis=0, keepdims=True))
-    ti = t.astype(np.int64)
-    picked = np.take_along_axis(log_p, ti[None], axis=0)[0]
-    return float(np.mean(-w[ti] * picked))
 
 
 @dataclass(frozen=True)
@@ -127,15 +94,6 @@ def total_loss_grad(terms: LossTerms, params: UncertaintyParams) -> tuple[float,
         float(-2.0 * np.exp(-2.0 * params.s_seg) * terms.l_seg + 1.0),
         float(-2.0 * np.exp(-2.0 * params.s_cls) * terms.l_cls + 1.0),
     )
-
-
-def poly_lr(epoch: int, total_epochs: int, base_lr: float, power: float = 0.9) -> float:
-    """base_lr * (1 - epoch/total_epochs) ** power."""
-    if not 0 <= epoch <= total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {total_epochs}]")
-    if not base_lr > 0:
-        raise ValueError(f"base_lr must be positive, got {base_lr}")
-    return float(base_lr * (1.0 - epoch / total_epochs) ** power)
 
 
 def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

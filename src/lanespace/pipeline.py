@@ -99,7 +99,7 @@ def mask_frame(frame_id: int, mask: SegmentationMask, road_class: RoadClass) -> 
             width=mask.width,
             height=mask.height,
             road_class=road_class,
-            mask_bytes=mask.data.tobytes(),
+            mask_bytes=memoryview(mask.data).cast("B"),
         ),
     )
 

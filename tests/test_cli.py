@@ -1,4 +1,10 @@
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ from lanespace.cli import main
 from lanespace.core import ClassId, SegmentationMask
 from lanespace.netpbm import write_mask
 from lanespace.pipeline import PipelineStats, make_source
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse_ppm(path):
@@ -128,6 +136,27 @@ def test_run_exits_nonzero_when_the_source_fails(tmp_path, monkeypatch, capsys):
     ) == 2
     assert "source went away" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_run_exits_1_with_its_report_when_a_frame_fails(tmp_path):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    (scenes / "000000.pgm").write_bytes(b"P5\n64 64\n255\n" + bytes(100))
+    stats_file = tmp_path / "stats.json"
+    assert main(
+        ["run", "--source", f"dir:{scenes}", "--sink", "null", "--stats", str(stats_file)]
+    ) == 1
+    stats = json.loads(stats_file.read_text())["stats"]
+    assert (stats["frames_processed"], stats["errors"]) == (0, 1)
+
+
+def test_run_of_generated_frames_exits_0(tmp_path):
+    stats_file = tmp_path / "stats.json"
+    assert main(
+        ["run", "--source", "gen:2x64x64", "--sink", "null", "--stats", str(stats_file)]
+    ) == 0
+    stats = json.loads(stats_file.read_text())["stats"]
+    assert (stats["frames_processed"], stats["errors"]) == (2, 0)
 
 
 def test_run_honours_a_config_file(tmp_path):
@@ -403,36 +432,6 @@ def test_loss_check_passes_and_reports(tmp_path):
     assert report["gradient_check"]["max_rel_error"]["weighted_ce_grad"] < 1e-5
 
 
-def test_bench_reports_throughput(tmp_path):
-    out = tmp_path / "bench.json"
-    assert main(
-        ["bench", "--frames", "3", "--warmup", "1", "--width", "320",
-         "--height", "240", "--out", str(out)]
-    ) == 0
-    report = json.loads(out.read_text())
-    assert report["stats"]["frames_processed"] == 3
-    assert report["stats"]["throughput_fps"] > 0
-    assert report["warmup"]["frames"] == 1
-
-
-def test_bench_without_warmup_reports_zero_frames_and_no_fps(tmp_path):
-    out = tmp_path / "bench.json"
-    assert main(
-        ["bench", "--frames", "2", "--warmup", "0", "--width", "320",
-         "--height", "240", "--out", str(out)]
-    ) == 0
-    report = json.loads(out.read_text())
-    assert report["warmup"] == {"frames": 0, "throughput_fps": None}
-    assert report["stats"]["frames_processed"] == 2
-
-
-def test_bench_rejects_a_negative_warmup(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--frames", "2", "--warmup", "-1", "--out", str(out)]) == 2
-    assert "--warmup must be an integer >= 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -455,3 +454,40 @@ def test_an_option_the_command_does_not_read_is_refused(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+def readme_cli_options():
+    """Each README `## CLI` table row's command and its backticked long options."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `lanespace "):
+            command = line.split()[2].rstrip("`")
+            rows[command] = set(re.findall(r"`(--[\w-]+)`", line.split(" | ")[-1]))
+    return rows
+
+
+def test_readme_cli_table_matches_the_parser():
+    (commands,) = (
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert readme_cli_options() == parsed
+
+
+def test_demo_scene_script_writes_its_four_files(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    out = tmp_path / "demo"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "demo_scene.py"), "--seed", "7", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "document.json", "mask.pgm", "overlay.ppm", "scene.json",
+    ]

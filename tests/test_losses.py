@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from lanespace.losses import (
     FD_STEP,
-    ClassWeights,
     LossTerms,
     UncertaintyParams,
     check_gradients,
     enet_weights,
-    poly_lr,
-    segmentation_ce,
     total_loss,
     total_loss_grad,
     weighted_ce,
@@ -49,13 +46,6 @@ def test_weights_validate_inputs():
         enet_weights(np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
         enet_weights(np.array([]))
-
-
-def test_class_weights_wrapper_matches_function():
-    p = np.array([0.9, 0.06, 0.04])
-    cw = ClassWeights.from_probabilities(p)
-    assert np.allclose(cw.weights, enet_weights(p))
-    assert cw.k == 1.02
 
 
 # --- cross-entropy ----------------------------------------------------------
@@ -116,27 +106,6 @@ def test_ce_grad_sums_to_zero(logit_list, data):
     assert g[target] <= 0  # raising the true logit lowers the loss
 
 
-def test_segmentation_ce_averages_per_pixel_losses():
-    w = np.array([1.0, 2.0, 4.0])
-    logit_map = np.zeros((3, 2, 2))
-    logit_map[:, 0, 0] = [5.0, 0.0, 0.0]
-    target = np.array([[0, 1], [2, 0]], dtype=np.uint8)
-    per_pixel = [
-        weighted_ce(logit_map[:, y, x], int(target[y, x]), w)
-        for y in range(2)
-        for x in range(2)
-    ]
-    got = segmentation_ce(logit_map, target, w)
-    assert got == pytest.approx(float(np.mean(per_pixel)), rel=1e-12)
-
-
-def test_segmentation_ce_rejects_mismatch():
-    with pytest.raises(ValueError):
-        segmentation_ce(np.zeros((3, 2, 2)), np.zeros((3, 3)), np.ones(3))
-    with pytest.raises(ValueError):
-        segmentation_ce(np.zeros((3, 2, 2)), np.full((2, 2), 5), np.ones(3))
-
-
 # --- two-task loss ----------------------------------------------------------
 
 
@@ -175,29 +144,6 @@ def test_loss_terms_validate():
         LossTerms(float("nan"), 0.0)
     with pytest.raises(ValueError):
         UncertaintyParams(float("inf"), 0.0)
-
-
-# --- schedule ---------------------------------------------------------------
-
-
-def test_poly_lr_spot_values():
-    assert poly_lr(0, 100, 1e-4) == pytest.approx(1e-4)
-    assert poly_lr(100, 100, 1e-4) == 0.0
-    assert poly_lr(50, 100, 1e-4) == pytest.approx(5.358867312681466e-05, abs=1e-18)
-
-
-def test_poly_lr_is_monotone_decreasing():
-    values = [poly_lr(e, 30, 0.05) for e in range(31)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_poly_lr_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        poly_lr(31, 30, 0.05)
-    with pytest.raises(ValueError):
-        poly_lr(-1, 30, 0.05)
-    with pytest.raises(ValueError):
-        poly_lr(0, 30, 0.0)
 
 
 # --- gradient checks --------------------------------------------------------

@@ -331,6 +331,21 @@ def test_a_mask_read_and_its_mask_hold_the_frame_about_twice():
     assert peak <= 2.5 * len(frame)
 
 
+def test_encoding_a_mask_holds_the_frame_about_once():
+    mask = SegmentationMask(np.ones((480, 640), dtype=np.uint8))
+    frame, peak = traced_peak(lambda: encode_frame(mask_frame(1, mask, RoadClass.HIGHWAY)))
+    assert decode_frame(frame).payload.to_mask() == mask
+    assert peak <= 1.25 * len(frame)
+
+
+def test_a_column_major_mask_is_sent_in_raster_order():
+    grid = np.arange(12, dtype=np.uint8).reshape(3, 4) % 3
+    mask = SegmentationMask(np.asfortranarray(grid))
+    frame = encode_frame(mask_frame(1, mask, RoadClass.HIGHWAY))
+    assert frame[HEADER_SIZE + 5 :] == grid.tobytes()
+    assert decode_frame(frame).payload.to_mask() == mask
+
+
 def test_memory_follows_the_bytes_that_arrive_not_the_announced_length():
     header = MAGIC + bytes([VERSION, MSG_MASK]) + bytes(4) + _MAX_PAYLOAD.to_bytes(4, "big")
     a, b = socket.socketpair()

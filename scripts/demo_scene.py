@@ -13,8 +13,8 @@ from pathlib import Path
 from lanespace.cli import render_overlay
 from lanespace.geometry import rasterize_pieces
 from lanespace.netpbm import write_mask, write_rgb
-from lanespace.policy import advise
-from lanespace.regions import build_document, document_bytes, extract_regions
+from lanespace.pipeline import SourceFrame, frame_document
+from lanespace.regions import ExtractionConfig
 from lanespace.scenes import generate, sample_spec
 
 
@@ -28,15 +28,16 @@ def main() -> int:
 
     spec = sample_spec(args.seed, lane_count=args.lanes, noise_rate=args.noise)
     mask, oracle = generate(spec)
-    regions = extract_regions(mask)
-    advice = advise(spec.road_class, regions)
-    doc = build_document(args.seed, spec.road_class, regions, advice.as_dict())
+    regions, document = frame_document(
+        SourceFrame(args.seed, spec.road_class, mask), ExtractionConfig()
+    )
+    doc = json.loads(document)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_mask(out / "mask.pgm", mask)
     write_rgb(out / "overlay.ppm", render_overlay(mask, regions))
-    (out / "document.json").write_bytes(document_bytes(doc))
+    (out / "document.json").write_bytes(document)
     (out / "scene.json").write_text(json.dumps(spec.to_dict(), indent=2) + "\n")
 
     print(f"scene seed {args.seed}: {doc['road_class']}, lanes {oracle.roles()}")

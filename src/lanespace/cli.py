@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -12,29 +13,23 @@ import numpy as np
 
 from . import __version__
 from .clustering import check_integer
-from .core import RoadClass, SegmentationMask, road_class_from_name, road_class_name
+from .core import ClassId, RoadClass, SegmentationMask, road_class_from_name, road_class_name
 from .geometry import rasterize_pieces
 from .losses import check_gradients
-from .metrics import N_CLASSES, ConfusionCounts, accuracy, confusion, iou, miou
+from .metrics import ConfusionCounts, accuracy, confusion, iou, miou
 from .netpbm import PnmError, read_mask, write_mask, write_rgb
 from .pipeline import (
     PipelineConfig,
+    SourceFrame,
+    frame_document,
     make_sink,
     make_source,
+    parse_address,
     read_road_class,
     run_pipeline,
     serve,
 )
-from .policy import advise
-from .regions import (
-    LANE_EGO,
-    LANE_LEFT,
-    LANE_RIGHT,
-    RegionSet,
-    build_document,
-    document_bytes,
-    extract_regions,
-)
+from .regions import LANE_EGO, LANE_LEFT, LANE_RIGHT, LANE_UNASSIGNED, RegionSet
 from .scenes import generate, sample_spec
 
 GRADIENT_TOLERANCE = 1e-5
@@ -44,7 +39,7 @@ _LANE_COLORS = {
     LANE_EGO: (0, 0, 255),
     LANE_LEFT: (0, 200, 0),
     LANE_RIGHT: (255, 0, 0),
-    "unassigned": (255, 0, 255),
+    LANE_UNASSIGNED: (255, 0, 255),
 }
 _GRAY_PER_CLASS = 80  # grayscale rendering: class code * 80
 
@@ -100,10 +95,7 @@ def cmd_process(args) -> int:
         road_class = road_class_from_name(args.road_class)
     else:
         road_class = read_road_class(mask_path.with_suffix(".json"))
-    regions = extract_regions(mask, cfg.extraction)
-    advice = advise(road_class, regions)
-    doc = build_document(0, road_class, regions, advice.as_dict())
-    payload = document_bytes(doc)
+    regions, payload = frame_document(SourceFrame(0, road_class, mask), cfg.extraction)
     if args.out is None:
         sys.stdout.write(payload.decode("utf-8") + "\n")
     else:
@@ -116,22 +108,25 @@ def cmd_process(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     served = args.source.startswith("tcp:")
-    # A bad source fails here, before the sink makes its directory.
+    address = args.source[len("tcp:") :]
+    # A bad source or served address fails here, before the sink makes its directory.
+    if served:
+        parse_address(address)
     source = None if served else make_source(args.source, args.seed)
     sink = make_sink(args.sink)
     try:
         if served:
-            stats = serve(args.source[len("tcp:") :], cfg, extra_sink=sink)
+            stats = serve(address, cfg, extra_sink=sink)
         else:
             stats = run_pipeline(source, sink, cfg)
     finally:
         sink.close()
     report = _report(
         seed=args.seed,
-        config=cfg.to_dict(),
+        config=dataclasses.asdict(cfg),
         source=args.source,
         sink=args.sink,
-        stats=stats.to_dict(),
+        stats=dataclasses.asdict(stats),
     )
     _emit(report, args.stats)
     # The report is written either way; a frame that failed fails the run.
@@ -144,7 +139,7 @@ def _document_to_mask(doc_path: Path, width: int, height: int) -> SegmentationMa
     for region in doc.get("regions", []):
         pieces = [np.asarray(p, dtype=np.float64) for p in region["pieces"]]
         covered = rasterize_pieces(pieces, width, height)
-        grid[covered] = 1 if region["lane"] == LANE_EGO else 2
+        grid[covered] = ClassId.EGO_LANE if region["lane"] == LANE_EGO else ClassId.OTHER_LANES
     return SegmentationMask(grid)
 
 
@@ -177,10 +172,7 @@ def cmd_eval(args) -> int:
         if gt_rc != RoadClass.UNKNOWN and pred_rc != RoadClass.UNKNOWN:
             gt_classes.append(int(gt_rc))
             pred_classes.append(int(pred_rc))
-    class_names = ["background", "ego_lane", "other_lanes"]
-    per_class = {
-        class_names[c]: iou(totals, c) for c in range(N_CLASSES)
-    }
+    per_class = {c.name.lower(): iou(totals, c) for c in ClassId}
     report = _report(
         per_class_iou=per_class,
         miou=miou(totals),

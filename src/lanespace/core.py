@@ -25,18 +25,12 @@ class RoadClass(IntEnum):
     UNKNOWN = 255
 
 
-_ROAD_CLASS_NAMES = {
-    RoadClass.RESIDENTIAL: "residential",
-    RoadClass.HIGHWAY: "highway",
-    RoadClass.CITY_STREET: "city_street",
-    RoadClass.OTHERS: "others",
-    RoadClass.UNKNOWN: "unknown",
-}
-_ROAD_CLASS_BY_NAME = {v: k for k, v in _ROAD_CLASS_NAMES.items()}
-
-
 def road_class_name(rc: RoadClass) -> str:
-    return _ROAD_CLASS_NAMES[RoadClass(rc)]
+    """The member name in lower case, as documents and sidecar files spell it."""
+    return RoadClass(rc).name.lower()
+
+
+_ROAD_CLASS_BY_NAME = {road_class_name(rc): rc for rc in RoadClass}
 
 
 def road_class_from_name(name: str) -> RoadClass:

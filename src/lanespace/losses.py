@@ -7,7 +7,7 @@ closed-form; no autodiff involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -102,6 +102,17 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(a - f).max() / max(1.0, np.abs(f).max()))
 
 
+def _central_difference(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """(f(x + h e_i) - f(x - h e_i)) / 2h for each coordinate i, h = FD_STEP."""
+    fd = np.empty(len(x))
+    for i in range(len(x)):
+        up, down = x.copy(), x.copy()
+        up[i] += FD_STEP
+        down[i] -= FD_STEP
+        fd[i] = (f(up) - f(down)) / (2 * FD_STEP)
+    return fd
+
+
 def check_gradients(cases: int = 1000, seed: int = 0) -> dict[str, Any]:
     """Compare every analytic gradient against central finite differences.
 
@@ -116,14 +127,7 @@ def check_gradients(cases: int = 1000, seed: int = 0) -> dict[str, Any]:
         target = int(rng.integers(m))
         p = rng.dirichlet(np.ones(m))
         w = enet_weights(p, 1.02)
-        fd = np.empty(m)
-        for i in range(m):
-            up, down = logits.copy(), logits.copy()
-            up[i] += FD_STEP
-            down[i] -= FD_STEP
-            fd[i] = (weighted_ce(up, target, w) - weighted_ce(down, target, w)) / (
-                2 * FD_STEP
-            )
+        fd = _central_difference(lambda z: weighted_ce(z, target, w), logits)
         worst_ce = max(worst_ce, _rel_error(weighted_ce_grad(logits, target, w), fd))
 
     worst_total = 0.0
@@ -132,17 +136,11 @@ def check_gradients(cases: int = 1000, seed: int = 0) -> dict[str, Any]:
         params = UncertaintyParams(
             float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0))
         )
-        fd_pair = []
-        for name in ("s_seg", "s_cls"):
-            kw_up = {name: getattr(params, name) + FD_STEP}
-            kw_dn = {name: getattr(params, name) - FD_STEP}
-            up = UncertaintyParams(**{**params.__dict__, **kw_up})
-            dn = UncertaintyParams(**{**params.__dict__, **kw_dn})
-            fd_pair.append((total_loss(terms, up) - total_loss(terms, dn)) / (2 * FD_STEP))
-        worst_total = max(
-            worst_total,
-            _rel_error(np.array(total_loss_grad(terms, params)), np.array(fd_pair)),
+        fd = _central_difference(
+            lambda s: total_loss(terms, UncertaintyParams(float(s[0]), float(s[1]))),
+            np.array([params.s_seg, params.s_cls]),
         )
+        worst_total = max(worst_total, _rel_error(total_loss_grad(terms, params), fd))
     return {
         "cases": cases,
         "seed": seed,

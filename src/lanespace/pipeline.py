@@ -14,16 +14,17 @@ import socket
 import struct
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
+from .clustering import ClusterParams
 from .core import RoadClass, SegmentationMask, road_class_from_name
 from .netpbm import PnmError, read_mask
 from .policy import advise
-from .regions import ExtractionConfig, build_document, document_bytes, extract_regions
+from .regions import ExtractionConfig, RegionSet, build_document, document_bytes, extract_regions
 
 MAGIC = b"LDLS"
 VERSION = 1
@@ -372,16 +373,17 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
-        kw = dict(raw)
+        """Read the dataclasses.asdict form; a bad key or shape raises ValueError."""
         try:
+            kw = dict(raw)
             if "extraction" in kw:
-                kw["extraction"] = ExtractionConfig.from_dict(kw["extraction"])
+                extraction = dict(kw["extraction"])
+                if "cluster" in extraction:
+                    extraction["cluster"] = ClusterParams(**extraction["cluster"])
+                kw["extraction"] = ExtractionConfig(**extraction)
             return cls(**kw)
         except TypeError as e:
             raise ValueError(f"bad pipeline config: {e}") from None
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -392,9 +394,6 @@ class PipelineStats:
     throughput_fps: float = 0.0
     latency_ms: dict[str, float | None] = field(default_factory=lambda: _spread([]))
     service_ms: dict[str, float | None] = field(default_factory=lambda: _spread([]))
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 def _spread(values: list[float]) -> dict[str, float | None]:
@@ -407,6 +406,14 @@ def _spread(values: list[float]) -> dict[str, float | None]:
         "mean": float(arr.mean()),
         "p99": float(np.percentile(arr, 99)),
     }
+
+
+def frame_document(frame: SourceFrame, cfg: ExtractionConfig) -> tuple[RegionSet, bytes]:
+    """A frame's regions and the bytes of its region document, with advice."""
+    regions = extract_regions(frame.mask, cfg)
+    advice = advise(frame.road_class, regions)
+    doc = build_document(frame.frame_id, frame.road_class, regions, advice.as_dict())
+    return regions, document_bytes(doc)
 
 
 def run_pipeline(
@@ -433,10 +440,8 @@ def run_pipeline(
         if isinstance(item, SourceFailure):
             stats.errors += 1
         else:
-            regions = extract_regions(item.mask, cfg.extraction)
-            advice = advise(item.road_class, regions)
-            doc = build_document(item.frame_id, item.road_class, regions, advice.as_dict())
-            sink.deliver(item.frame_id, document_bytes(doc))
+            _, document = frame_document(item, cfg.extraction)
+            sink.deliver(item.frame_id, document)
             t_done = time.perf_counter()
             latencies.append((t_done - t_in) * 1000.0)
             services.append((t_done - t_got) * 1000.0)
@@ -457,8 +462,8 @@ def run_pipeline(
 
 def parse_address(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"address must be host:port, got {address!r}")
+    if not host or not port.isdigit() or int(port) > 0xFFFF:
+        raise ValueError(f"address must be host:port with a port in 0-65535, got {address!r}")
     return host, int(port)
 
 
@@ -475,8 +480,7 @@ def serve(
     closes the connection and is counted in stats.errors. The same timeout
     bounds each reply's send, whose expiry ends the run with TimeoutError.
     """
-    host, port = parse_address(address)
-    with socket.create_server((host, port)) as server:
+    with socket.create_server(parse_address(address)) as server:
         if bound_callback is not None:
             bound_callback(server.getsockname()[1])
         conn, _ = server.accept()
@@ -496,8 +500,7 @@ class PipelineClient:
     """Blocking client for a served pipeline: send a mask, read the answer."""
 
     def __init__(self, address: str, timeout: float | None = IDLE_TIMEOUT_S):
-        host, port = parse_address(address)
-        self.conn = socket.create_connection((host, port), timeout=timeout)
+        self.conn = socket.create_connection(parse_address(address), timeout=timeout)
 
     def send_mask(self, frame_id: int, mask: SegmentationMask, road_class: RoadClass) -> None:
         self.conn.sendall(encode_frame(mask_frame(frame_id, mask, road_class)))
@@ -533,6 +536,5 @@ def make_sink(spec: str):
     if kind == "dir" and rest:
         return DirSink(rest)
     if kind == "tcp" and rest:
-        host, port = parse_address(rest)
-        return WireSink(socket.create_connection((host, port), timeout=IDLE_TIMEOUT_S))
+        return WireSink(socket.create_connection(parse_address(rest), timeout=IDLE_TIMEOUT_S))
     raise ValueError(f"unsupported sink {spec!r}")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -70,16 +71,6 @@ class ExtractionConfig:
         if isinstance(self.min_region_area, bool) or self.min_region_area < 0:
             raise ValueError("min_region_area must be a number >= 0")
 
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ExtractionConfig":
-        kw = dict(raw)
-        try:
-            if "cluster" in kw:
-                kw["cluster"] = ClusterParams(**kw["cluster"])
-            return cls(**kw)
-        except TypeError as e:
-            raise ValueError(f"bad extraction config: {e}") from None
-
 
 def resolve_overlaps(
     regions: list[tuple[ClassId, list[np.ndarray]]],
@@ -128,18 +119,16 @@ def assign_sides(
     """
     if ego is None:
         return None, None, tuple(r.relabeled(LANE_UNASSIGNED) for r in others)
-    left_best: DrivableRegion | None = None
-    right_best: DrivableRegion | None = None
-    for region in others:
-        if region.centroid[0] < ego.centroid[0]:
-            if left_best is None or region.area > left_best.area:
-                left_best = region
-        else:
-            if right_best is None or region.area > right_best.area:
-                right_best = region
-    left = left_best.relabeled(LANE_LEFT) if left_best is not None else None
-    right = right_best.relabeled(LANE_RIGHT) if right_best is not None else None
+    x = ego.centroid[0]
+    left = _largest((r for r in others if r.centroid[0] < x), LANE_LEFT)
+    right = _largest((r for r in others if r.centroid[0] >= x), LANE_RIGHT)
     return left, right, ()
+
+
+def _largest(regions: Iterable[DrivableRegion], lane: str) -> DrivableRegion | None:
+    """The first region of the largest area, labelled lane; None when there is none."""
+    best = max(regions, key=lambda r: r.area, default=None)
+    return None if best is None else best.relabeled(lane)
 
 
 def _convex_chains(
@@ -282,20 +271,14 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
         for i, hull, area in zip(owner.tolist(), hulls, areas.tolist())
         if hull is not None and area >= min_area_small
     ]
-    ego_region: DrivableRegion | None = None
+    egos: list[DrivableRegion] = []
     others: list[DrivableRegion] = []
     for cls, pieces in resolve_overlaps(ordered):
         if not pieces:
             continue  # ceded everything to other regions
-        region = DrivableRegion.from_pieces(
-            LANE_EGO if cls == ClassId.EGO_LANE else LANE_UNASSIGNED,
-            [p * float(factor) for p in pieces],
-        )
-        if cls == ClassId.EGO_LANE:
-            if ego_region is None or region.area > ego_region.area:
-                ego_region = region
-        else:
-            others.append(region)
+        region = DrivableRegion.from_pieces(LANE_UNASSIGNED, [p * float(factor) for p in pieces])
+        (egos if cls == ClassId.EGO_LANE else others).append(region)
+    ego_region = _largest(egos, LANE_EGO)
     left, right, unassigned = assign_sides(others, ego_region)
     return RegionSet(ego=ego_region, left=left, right=right, unassigned=unassigned)
 

@@ -1,9 +1,12 @@
 import argparse
 import json
 import os
+import queue
 import re
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from lanespace.cli import main
 from lanespace.core import ClassId, SegmentationMask
 from lanespace.netpbm import write_mask
 from lanespace.pipeline import PipelineStats, make_source
+from test_pipeline import stalled_frame_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -157,6 +161,52 @@ def test_run_of_generated_frames_exits_0(tmp_path):
     ) == 0
     stats = json.loads(stats_file.read_text())["stats"]
     assert (stats["frames_processed"], stats["errors"]) == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "source, sink",
+    [
+        ("gen:1", "tcp:127.0.0.1:70000"),
+        ("tcp:127.0.0.1:70000", "dir"),
+        ("tcp:localhost", "dir"),
+    ],
+)
+def test_run_refuses_a_bad_address_before_making_the_sink(tmp_path, capsys, source, sink):
+    out = tmp_path / "out"
+    sink = f"dir:{out}" if sink == "dir" else sink
+    assert main(["run", "--source", source, "--sink", sink]) == 2
+    assert "0-65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cut", ["inside the header", "after the header", "inside the payload"])
+def test_run_serving_a_peer_that_closes_mid_frame_exits_1(tmp_path, monkeypatch, cut):
+    ports = queue.Queue()
+    real_serve = cli.serve
+
+    def serve_telling_its_port(address, cfg, extra_sink=None):
+        return real_serve(address, cfg, extra_sink=extra_sink, bound_callback=ports.put)
+
+    monkeypatch.setattr(cli, "serve", serve_telling_its_port)
+    stats_file = tmp_path / "stats.json"
+    codes = []
+    argv = ["run", "--source", "tcp:127.0.0.1:0", "--sink", "null", "--stats", str(stats_file)]
+    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    runner.start()
+    with socket.create_connection(("127.0.0.1", ports.get(timeout=10.0)), timeout=10.0) as conn:
+        conn.sendall(stalled_frame_bytes(cut))
+    runner.join(5.0)
+    assert not runner.is_alive()
+    assert codes == [1]
+    stats = json.loads(stats_file.read_text())["stats"]
+    assert (stats["frames_processed"], stats["errors"]) == (0, 1)
+
+
+def test_run_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text("[1]")
+    assert main(["run", "--config", str(cfg_file), "--source", "gen:1x64x64"]) == 2
+    assert "bad pipeline config" in capsys.readouterr().err
 
 
 def test_run_honours_a_config_file(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import socket
@@ -161,7 +162,7 @@ def test_a_raising_sink_stops_the_source_thread():
 
 def test_stats_shape_and_latency_fields():
     stats = run_pipeline([small_frame(i) for i in range(3)], CaptureSink(), FAST_CFG)
-    payload = stats.to_dict()
+    payload = dataclasses.asdict(stats)
     assert set(payload) == {
         "frames_processed",
         "errors",
@@ -265,9 +266,21 @@ def test_parse_address():
             parse_address(bad)
 
 
+def test_parse_address_refuses_a_port_above_65535():
+    assert parse_address("h:65535") == ("h", 65535)
+    with pytest.raises(ValueError, match="0-65535"):
+        parse_address("h:65536")
+
+
+@pytest.mark.parametrize("raw", [[1], 5, {"extraction": [1]}, {"extraction": {"cluster": 3}}])
+def test_pipeline_config_refuses_a_value_that_is_not_an_object(raw):
+    with pytest.raises(ValueError, match="bad pipeline config"):
+        PipelineConfig.from_dict(raw)
+
+
 def test_pipeline_config_round_trip_and_validation():
     cfg = PipelineConfig(extraction=ExtractionConfig(downsample_factor=2))
-    assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+    assert PipelineConfig.from_dict(dataclasses.asdict(cfg)) == cfg
     for removed in ("worker_pool_size", "queue_capacity"):
         with pytest.raises(ValueError):
             PipelineConfig.from_dict({removed: 2})
@@ -384,10 +397,15 @@ def test_a_bad_header_is_refused_before_its_payload_arrives():
 
 
 def stalled_frame_bytes(stall):
-    """The bytes of one mask frame up to where its sender stalls."""
+    """The bytes of one mask frame up to where its sender stalls or closes."""
     f = small_frame(0)
     frame = encode_frame(mask_frame(f.frame_id, f.mask, f.road_class))
-    return frame[: {"after the header": HEADER_SIZE, "inside the payload": len(frame) // 2}[stall]]
+    ends = {
+        "inside the header": HEADER_SIZE // 2,
+        "after the header": HEADER_SIZE,
+        "inside the payload": len(frame) // 2,
+    }
+    return frame[: ends[stall]]
 
 
 @pytest.mark.parametrize("stall", ["after the header", "inside the payload"])
@@ -398,6 +416,19 @@ def test_a_stalled_peer_ends_the_served_run_after_the_idle_timeout(monkeypatch, 
         conn.sendall(stalled_frame_bytes(stall))
         thread.join(5.0)
         assert not thread.is_alive()
+    assert "error" not in result
+    assert result["stats"].frames_processed == 0
+    assert result["stats"].errors == 1
+
+
+@pytest.mark.parametrize("cut", ["inside the header", "after the header", "inside the payload"])
+def test_a_peer_that_closes_mid_frame_ends_the_served_run_with_one_error(cut):
+    thread, port, result = start_server()
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+        conn.sendall(stalled_frame_bytes(cut))
+    # The close ends the run, well before the 30 s idle timeout.
+    thread.join(5.0)
+    assert not thread.is_alive()
     assert "error" not in result
     assert result["stats"].frames_processed == 0
     assert result["stats"].errors == 1

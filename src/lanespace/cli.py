@@ -17,7 +17,7 @@ from .core import ClassId, RoadClass, SegmentationMask, road_class_from_name, ro
 from .geometry import rasterize_pieces
 from .losses import check_gradients
 from .metrics import ConfusionCounts, accuracy, confusion, iou, miou
-from .netpbm import PnmError, read_mask, write_mask, write_rgb
+from .netpbm import read_mask, write_mask, write_rgb
 from .pipeline import (
     PipelineConfig,
     SourceFrame,
@@ -86,11 +86,7 @@ def render_overlay(mask: SegmentationMask, regions: RegionSet) -> np.ndarray:
 def cmd_process(args) -> int:
     cfg = _load_config(args.config)
     mask_path = Path(args.mask)
-    try:
-        mask = read_mask(mask_path)
-    except (PnmError, OSError) as e:
-        print(f"error: cannot read mask {args.mask}: {e}", file=sys.stderr)
-        return 2
+    mask = read_mask(mask_path)
     if args.road_class is not None:
         road_class = road_class_from_name(args.road_class)
     else:
@@ -134,12 +130,16 @@ def cmd_run(args) -> int:
 
 
 def _document_to_mask(doc_path: Path, width: int, height: int) -> SegmentationMask:
-    doc = json.loads(doc_path.read_text())
     grid = np.zeros((height, width), dtype=np.uint8)
-    for region in doc.get("regions", []):
-        pieces = [np.asarray(p, dtype=np.float64) for p in region["pieces"]]
-        covered = rasterize_pieces(pieces, width, height)
-        grid[covered] = ClassId.EGO_LANE if region["lane"] == LANE_EGO else ClassId.OTHER_LANES
+    try:
+        doc = json.loads(doc_path.read_text())
+        for region in doc.get("regions", []):
+            pieces = [np.asarray(p, dtype=np.float64) for p in region["pieces"]]
+            covered = rasterize_pieces(pieces, width, height)
+            grid[covered] = ClassId.EGO_LANE if region["lane"] == LANE_EGO else ClassId.OTHER_LANES
+    # Input that is not a region document fails one of these steps, whichever it is.
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as e:
+        raise ValueError(f"{doc_path}: not a region document: {type(e).__name__}: {e}") from None
     return SegmentationMask(grid)
 
 
@@ -147,12 +147,10 @@ def cmd_eval(args) -> int:
     gt_dir, pred_dir = Path(args.gt), Path(args.pred)
     gt_files = sorted(gt_dir.glob("*.pgm"))
     if not gt_files:
-        print(f"error: no *.pgm files under {gt_dir}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no *.pgm files under {gt_dir}")
     totals = ConfusionCounts.zero()
     pred_classes: list[int] = []
     gt_classes: list[int] = []
-    n_images = 0
     for gt_path in gt_files:
         gt_mask = read_mask(gt_path)
         pred_pgm = pred_dir / gt_path.name
@@ -164,10 +162,8 @@ def cmd_eval(args) -> int:
             pred_mask = _document_to_mask(pred_doc, gt_mask.width, gt_mask.height)
             pred_rc = read_road_class(pred_doc)
         else:
-            print(f"error: no prediction for {gt_path.name}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no prediction for {gt_path.name}")
         totals = totals + confusion(pred_mask, gt_mask)
-        n_images += 1
         gt_rc = read_road_class(gt_path.with_suffix(".json"))
         if gt_rc != RoadClass.UNKNOWN and pred_rc != RoadClass.UNKNOWN:
             gt_classes.append(int(gt_rc))
@@ -177,7 +173,7 @@ def cmd_eval(args) -> int:
         per_class_iou=per_class,
         miou=miou(totals),
         accuracy=accuracy(pred_classes, gt_classes) if gt_classes else None,
-        n_images=n_images,
+        n_images=len(gt_files),
     )
     _emit(report, args.out)
     return 0

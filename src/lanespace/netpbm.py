@@ -50,21 +50,21 @@ def _read_header(f: BinaryIO, magic: bytes) -> tuple[int, int, int]:
 
 
 def read_mask(path: str | os.PathLike) -> SegmentationMask:
-    """Read a P5 mask; maxval must be 255 and pixels must be valid class codes."""
-    with open(path, "rb") as f:
-        width, height, maxval = _read_header(f, b"P5")
-        if maxval != 255:
-            raise PnmError(f"mask maxval must be 255, got {maxval}")
-        raw = f.read(width * height)
-    if len(raw) != width * height:
-        raise PnmError(
-            f"truncated pixel data: expected {width * height} bytes, got {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    """Read a P5 mask of valid class codes, maxval 255; a refusal names the file."""
     try:
+        with open(path, "rb") as f:
+            width, height, maxval = _read_header(f, b"P5")
+            if maxval != 255:
+                raise PnmError(f"mask maxval must be 255, got {maxval}")
+            raw = f.read(width * height)
+        if len(raw) != width * height:
+            raise PnmError(
+                f"truncated pixel data: expected {width * height} bytes, got {len(raw)}"
+            )
+        data = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
         return SegmentationMask(data)
-    except ValueError as e:
-        raise PnmError(str(e)) from None
+    except ValueError as e:  # PnmError, and SegmentationMask's class-code check
+        raise PnmError(f"{path}: {e}") from None
 
 
 def write_mask(path: str | os.PathLike, mask: SegmentationMask) -> None:

@@ -200,8 +200,8 @@ def dir_source(path: str | os.PathLike) -> Iterator[SourceFrame | SourceFailure]
         for frame_id, pgm in enumerate(sorted(root.glob("*.pgm"))):
             try:
                 mask = read_mask(pgm)
-            except (PnmError, OSError) as e:
-                yield SourceFailure(f"{pgm.name}: {e}")
+            except (PnmError, OSError) as e:  # each names the file
+                yield SourceFailure(str(e))
                 continue
             yield SourceFrame(frame_id, read_road_class(pgm.with_suffix(".json")), mask)
 
@@ -227,14 +227,15 @@ def gen_source(spec: str, seed: int = 0) -> Iterator[SourceFrame | SourceFailure
 
     A malformed spec raises ValueError here, before any frame is asked for.
     """
-    from .scenes import check_sample_size, generate, sample_spec
+    from .scenes import generate, sample_spec
 
     count, width, height, noise = _parse_gen_spec(spec)
-    check_sample_size(width, height)
+    shared = dict(width=width, height=height, noise_rate=noise)
+    first = sample_spec(seed, **shared)  # checks what every scene shares
 
     def frames() -> Iterator[SourceFrame | SourceFailure]:
         for i in range(count):
-            scene = sample_spec(seed + i, width=width, height=height, noise_rate=noise)
+            scene = sample_spec(seed + i, **shared) if i else first
             mask, _ = generate(scene)
             yield SourceFrame(i, scene.road_class, mask)
 
@@ -375,9 +376,9 @@ class PipelineConfig:
     def from_dict(cls, raw: dict[str, Any]) -> "PipelineConfig":
         """Read the dataclasses.asdict form; a bad key or shape raises ValueError."""
         try:
-            kw = dict(raw)
+            kw = {**raw}  # unlike dict(x), {**x} raises TypeError for every non-mapping
             if "extraction" in kw:
-                extraction = dict(kw["extraction"])
+                extraction = {**kw["extraction"]}
                 if "cluster" in extraction:
                     extraction["cluster"] = ClusterParams(**extraction["cluster"])
                 kw["extraction"] = ExtractionConfig(**extraction)
@@ -390,6 +391,7 @@ class PipelineConfig:
 class PipelineStats:
     frames_processed: int = 0
     errors: int = 0
+    failures: list[str] = field(default_factory=list)  # one reason per failed frame, in order
     elapsed_s: float = 0.0
     throughput_fps: float = 0.0
     latency_ms: dict[str, float | None] = field(default_factory=lambda: _spread([]))
@@ -438,7 +440,7 @@ def run_pipeline(
     for item in source:
         t_got = time.perf_counter()
         if isinstance(item, SourceFailure):
-            stats.errors += 1
+            stats.failures.append(item.reason)
         else:
             _, document = frame_document(item, cfg.extraction)
             sink.deliver(item.frame_id, document)
@@ -449,6 +451,7 @@ def run_pipeline(
         t_in = time.perf_counter()
 
     stats.elapsed_s = time.perf_counter() - t_start
+    stats.errors = len(stats.failures)
     if stats.elapsed_s > 0:
         stats.throughput_fps = stats.frames_processed / stats.elapsed_s
     stats.latency_ms = _spread(latencies)

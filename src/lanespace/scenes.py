@@ -40,13 +40,6 @@ def _check_size(width: int, height: int) -> None:
         raise ValueError("scene must be at least 16x16")
 
 
-def check_sample_size(width: int, height: int) -> None:
-    """Raise ValueError unless `sample_spec` can lay out a scene of this size."""
-    _check_size(width, height)
-    if width < 48:  # narrower layouts can squeeze the top lane gap under 1 px
-        raise ValueError("generated scenes must be at least 48 px wide")
-
-
 @dataclass(frozen=True)
 class SceneSpec:
     width: int
@@ -192,7 +185,9 @@ def sample_spec(
     of at least 36 px, shrinking toward a vanishing center by 0.40-0.55, so
     stride-4 sampling never merges lanes and hull shrinkage stays small.
     """
-    check_sample_size(width, height)
+    _check_size(width, height)
+    if width < 48:  # narrower layouts can squeeze the top lane gap under 1 px
+        raise ValueError("generated scenes must be at least 48 px wide")
     rng = np.random.default_rng(seed)
     u = width / 640.0
     nl = int(lane_count) if lane_count is not None else int(rng.integers(1, 4))

@@ -97,7 +97,9 @@ def test_process_rejects_a_truncated_mask_without_partial_output(tmp_path, capsy
     out = tmp_path / "doc.json"
     assert main(["process", str(bad), "--out", str(out)]) == 2
     assert not out.exists()
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bad}: truncated pixel data: expected 307200 bytes, got 17\n"
+    )
 
 
 def test_process_rejects_an_unknown_road_class(tmp_path, capsys):
@@ -152,6 +154,9 @@ def test_run_exits_1_with_its_report_when_a_frame_fails(tmp_path):
     ) == 1
     stats = json.loads(stats_file.read_text())["stats"]
     assert (stats["frames_processed"], stats["errors"]) == (0, 1)
+    assert stats["failures"] == [
+        f"{scenes / '000000.pgm'}: truncated pixel data: expected 4096 bytes, got 100"
+    ]
 
 
 def test_run_of_generated_frames_exits_0(tmp_path):
@@ -350,7 +355,7 @@ def test_run_rejects_a_missing_source_directory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "source", ["dir:{tmp}/missing", "gen:5x640", "gen:axbxc", "gen:1x16x16"]
+    "source", ["dir:{tmp}/missing", "gen:5x640", "gen:axbxc", "gen:1x16x16", "gen:2@0.5"]
 )
 def test_run_with_a_bad_source_leaves_no_sink_directory(tmp_path, capsys, source):
     out = tmp_path / "out"
@@ -440,6 +445,51 @@ def test_eval_requires_predictions_for_every_frame(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--pred", str(empty), "--gt", str(scenes)]) == 2
     assert main(["eval", "--pred", str(scenes), "--gt", str(empty)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no prediction for 000000.pgm\n"
+        f"error: no *.pgm files under {empty}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        "not json",
+        "[1]",
+        '{"regions": 5}',
+        '{"regions": ["ego"]}',
+        '{"regions": [{"lane": "ego"}]}',
+        '{"regions": [{"pieces": []}]}',
+        '{"regions": [{"lane": "ego", "pieces": [5]}]}',
+        '{"regions": [{"lane": "ego", "pieces": [[]]}]}',
+        '{"regions": [{"lane": "ego", "pieces": [[[0, 0], [9, "a"], [0, 9]]]}]}',
+        '{"regions": [{"lane": "ego", "pieces": [[[0, 0, 0], [9, 0, 0], [0, 9, 0]]]}]}',
+        '{"regions": [{"lane": "ego", "pieces": [[[0], [9], [0]]]}]}',
+        '{"regions": [{"lane": "ego", "pieces": [[[0, 0], [9, NaN], [0, 9]]]}]}',
+        '{"regions": [{"lane": "ego", "pieces": [[[0, 0], [9, 1e400], [0, 9]]]}]}',
+    ],
+)
+def test_eval_refuses_a_document_that_is_not_a_region_document(tmp_path, capsys, document):
+    gt, pred = tmp_path / "gt", tmp_path / "pred"
+    gt.mkdir()
+    pred.mkdir()
+    write_mask(gt / "000000.pgm", SegmentationMask(np.zeros((32, 32), dtype=np.uint8)))
+    doc = pred / "000000.json"
+    doc.write_text(document)
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {doc}: not a region document: ")
+
+
+def test_eval_names_a_ground_truth_mask_it_cannot_read(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    assert main(["gen", "--count", "2", "--width", "64", "--height", "64", "--out", str(scenes)]) == 0
+    capsys.readouterr()
+    bad = scenes / "000001.pgm"
+    bad.write_bytes(b"P5\n64 64\n255\nxy")
+    assert main(["eval", "--pred", str(scenes), "--gt", str(scenes)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: truncated pixel data: expected 4096 bytes, got 2\n"
+    )
 
 
 def test_gen_writes_masks_with_spec_sidecars(tmp_path, capsys):

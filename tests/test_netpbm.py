@@ -38,8 +38,9 @@ def test_header_comments_and_whitespace(tmp_path):
 def test_bad_masks_are_rejected(tmp_path, raw):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)
-    with pytest.raises(PnmError):
+    with pytest.raises(PnmError) as refused:
         read_mask(path)
+    assert str(refused.value).startswith(f"{path}: ")  # every refusal names the file
 
 
 def test_write_rgb_and_layout(tmp_path):

@@ -33,6 +33,7 @@ from lanespace.pipeline import (
     socket_source,
 )
 from lanespace.regions import ExtractionConfig
+from lanespace.scenes import generate, sample_spec
 
 
 class CaptureSink:
@@ -120,6 +121,7 @@ def test_source_failures_are_counted_not_fatal():
     stats = run_pipeline(items, sink, FAST_CFG)
     assert stats.frames_processed == 3
     assert stats.errors == 2
+    assert stats.failures == ["decode blew up", "another"]
     assert [fid for fid, _ in sink.delivered] == [0, 1, 2]
 
 
@@ -166,6 +168,7 @@ def test_stats_shape_and_latency_fields():
     assert set(payload) == {
         "frames_processed",
         "errors",
+        "failures",
         "elapsed_s",
         "throughput_fps",
         "latency_ms",
@@ -213,6 +216,7 @@ def test_dir_source_reads_sorted_masks_and_sidecar_labels(tmp_path):
     assert items[0].road_class == RoadClass.HIGHWAY  # a.pgm sorts first
     assert items[1].road_class == RoadClass.UNKNOWN
     assert isinstance(items[2], SourceFailure)
+    assert items[2].reason.startswith(f"{tmp_path / 'c.pgm'}: truncated pixel data")
 
 
 @pytest.mark.parametrize(
@@ -240,12 +244,15 @@ def test_gen_source_is_deterministic_and_labelled():
     for fa, fb in zip(a, b):
         assert fa.mask == fb.mask and fa.road_class == fb.road_class
     assert a[0].mask.data.shape == (240, 320)
+    # Scene 0 is drawn before the generator starts, from the same seed as the rest.
+    for i, frame in enumerate(a):
+        assert frame.mask == generate(sample_spec(11 + i, width=320, height=240))[0]
 
 
-@pytest.mark.parametrize("spec", ["0", "-3", "5x640", "x", "axbxc", "3@high"])
+@pytest.mark.parametrize("spec", ["0", "-3", "5x640", "x", "axbxc", "3@high", "2@0.5", "2x40x40"])
 def test_bad_generator_specs_are_rejected(spec):
     with pytest.raises(ValueError):
-        list(gen_source(spec))
+        gen_source(spec)  # before any frame is asked for
 
 
 def test_make_source_and_sink_dispatch(tmp_path):
@@ -272,7 +279,9 @@ def test_parse_address_refuses_a_port_above_65535():
         parse_address("h:65536")
 
 
-@pytest.mark.parametrize("raw", [[1], 5, {"extraction": [1]}, {"extraction": {"cluster": 3}}])
+@pytest.mark.parametrize(
+    "raw", [[1], 5, {"extraction": [1]}, {"extraction": {"cluster": 3}}, "ab", {"extraction": "ab"}]
+)
 def test_pipeline_config_refuses_a_value_that_is_not_an_object(raw):
     with pytest.raises(ValueError, match="bad pipeline config"):
         PipelineConfig.from_dict(raw)

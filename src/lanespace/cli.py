@@ -133,7 +133,7 @@ def _document_to_mask(doc_path: Path, width: int, height: int) -> SegmentationMa
     grid = np.zeros((height, width), dtype=np.uint8)
     try:
         doc = json.loads(doc_path.read_text())
-        for region in doc.get("regions", []):
+        for region in doc["regions"]:
             pieces = [np.asarray(p, dtype=np.float64) for p in region["pieces"]]
             covered = rasterize_pieces(pieces, width, height)
             grid[covered] = ClassId.EGO_LANE if region["lane"] == LANE_EGO else ClassId.OTHER_LANES

@@ -92,14 +92,18 @@ def _runs_meeting(
 
 
 def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
-    """DBSCAN of the True pixels of a boolean grid, as row spans.
+    """DBSCAN of the True pixels of a boolean grid, or of each grid of a
+    (k, H, W) stack, as row spans.
 
     The spans cover exactly the clustered pixels, each with the label that
     sequential DBSCAN gives it over the pixels' (x, y) coordinates in
-    row-major order.
+    row-major order. The grids of a stack are clustered apart: labels count
+    up grid by grid, and row r of grid g is row g * H + r of the spans.
     """
     member = np.asarray(grid, dtype=bool)
-    height, width = member.shape
+    if member.ndim == 2:
+        member = member[None]
+    grids, height, width = member.shape
     # The stencil: hw[dy] for dy = 0..R is the largest dx with
     # dx^2 + dy^2 <= eps^2, compared in float64 as distances are. R and hw
     # stop at the grid's size, past which a stencil reaches no other pixel,
@@ -118,27 +122,38 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     # front of each row and hw[0], at least one, after it, so that neither a
     # run nor a stencil row's window reaches into another row.
     w = width + 1 + max(int(hw[0]), 1)
-    padded = np.zeros((height, w), dtype=bool)
-    padded[:, 1 : width + 1] = member
-    flat = padded.ravel()
+    padded = np.zeros((grids, height * w), dtype=bool)
+    padded.reshape(grids, height, w)[:, :, 1 : width + 1] = member
     # Core: the stencil holds at least min_pts members, the pixel included.
     # Its rows are summed from one horizontal window sum, widened to row 0's
-    # half-width and then narrowed row by row outward.
-    pixels = flat.view(np.uint8)
+    # half-width and then narrowed row by row outward, within each grid.
+    pixels = padded.view(np.uint8)
     window = pixels.astype(np.min_scalar_type(cells))
     for half in range(1, hw[0] + 1):
-        window[half:] += pixels[:-half]
-        window[:-half] += pixels[half:]
+        window[:, half:] += pixels[:, :-half]
+        window[:, :-half] += pixels[:, half:]
     counts = window.copy()
     for dy in range(1, reach + 1):
         for half in range(hw[dy - 1], hw[dy], -1):
-            window[half:] -= pixels[:-half]
-            window[:-half] -= pixels[half:]
-        counts[dy * w :] += window[: -dy * w]
-        counts[: -dy * w] += window[dy * w :]
+            window[:, half:] -= pixels[:, :-half]
+            window[:, :-half] -= pixels[:, half:]
+        counts[:, dy * w :] += window[:, : -dy * w]
+        counts[:, : -dy * w] += window[:, dy * w :]
+    flat, counts = padded.ravel(), counts.ravel()
     core = flat & (counts >= params.min_pts)
+    # One scan finds both the ends of the core runs and the border
+    # candidates: members that are not core, whose stencil holds another
+    # member (a count of 1 is the pixel alone, with no core pixel to claim it).
+    event = (flat > core) & (counts >= 2)
+    event[1:] |= core[1:] != core[:-1]
+    at = np.flatnonzero(event)
+    # Column 0 is empty, so no event is at 0.
+    is_edge, is_border = core[at] != core[at - 1], flat[at] & ~core[at]
+    # From here on the grids are `reach` rows apart in the flat index, rows
+    # that hold no memory, so no join or border window reaches another grid.
+    at += at // (height * w) * (reach * w)
     # Runs of core pixels in raster order: start[i] < end[i] < start[i + 1].
-    edges = np.flatnonzero(core[1:] != core[:-1]) + 1
+    edges = at[is_edge]
     start, end = edges[0::2], edges[1::2]
     n = len(start)
     if n == 0:
@@ -150,21 +165,26 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     lo = (start + (dys * w - hw[dys])[:, None]).ravel()
     hi = (end + (dys * w + hw[dys])[:, None]).ravel()
     first, stop = _runs_meeting(edges, lo, hi)
-    count = stop - first
-    a = np.repeat(np.tile(np.arange(n), len(dys)), count)
-    b = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count - first, count)
+    # A window joins its run and the runs first..stop-1 into one component:
+    # link its run to `first`, and each run j covered by some window's
+    # first..stop-2 to j + 1, so the edges are at most windows + runs.
+    met = stop > first
+    run, first, last = np.tile(np.arange(n), len(dys))[met], first[met], stop[met] - 1
+    chained = np.flatnonzero(
+        np.cumsum(np.bincount(first, minlength=n) - np.bincount(last, minlength=n)) > 0
+    )
     # Numbering clusters by their lowest run, the one holding their first
     # core pixel, is the sequential scan's numbering.
-    cluster, k = _components(n, a, b)
+    cluster, k = _components(
+        n, np.concatenate([run, chained]), np.concatenate([first, chained + 1])
+    )
     # A border pixel takes the lowest cluster among the runs meeting the rows
     # of its stencil, before the size filter; k stands for "none". The first
     # and last run meeting a window are all the candidates. The window spans
     # 2h + 1 columns with h <= hw[0], so of the runs meeting it at most one
     # neighbouring pair is more than hw[0] columns apart, and every other pair
     # is joined within its row (with hw[0] <= 1 it meets at most two runs).
-    border = np.flatnonzero(flat > core)
-    # A stencil count of 1 is the pixel alone: no core pixel to claim it.
-    border = border[counts[border] >= 2]
+    border = at[is_border]
     rows = np.arange(-reach, reach + 1)
     halves = hw[np.abs(rows)]
     lo = (border + (rows * w - halves)[:, None]).ravel()
@@ -185,4 +205,6 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     lo = np.concatenate([start, border])[kept]
     hi = np.concatenate([end, border + 1])[kept]
     row = lo // w
-    return Spans(label[kept], row, lo - row * w - 1, hi - row * w - 2)
+    # Rows of the flat index to rows of the stack: drop the gaps above.
+    y = row - row // (height + reach) * reach
+    return Spans(label[kept], y, lo - row * w - 1, hi - row * w - 2)

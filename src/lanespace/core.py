@@ -40,6 +40,13 @@ def road_class_from_name(name: str) -> RoadClass:
         raise ValueError(f"unknown road class name: {name!r}") from None
 
 
+def _memory_owner(a: np.ndarray) -> object:
+    """The object at the end of an array's base chain, past a memoryview."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
 @dataclass(frozen=True)
 class SegmentationMask:
     """Dense per-pixel class grid, row-major, origin at the top-left corner.
@@ -50,9 +57,17 @@ class SegmentationMask:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        # A private row-major copy: freezing it leaves the caller's array
-        # writable, and its buffer is the mask's bytes in raster order.
-        d = np.array(self.data, dtype=np.uint8, order="C")
+        # The mask's bytes in raster order, which nothing else may write: an
+        # array over an immutable bytes object is kept as it is, anything else
+        # is copied, which leaves the caller's array writable.
+        d = self.data
+        if not (
+            isinstance(d, np.ndarray)
+            and d.dtype == np.uint8
+            and d.flags.c_contiguous
+            and isinstance(_memory_owner(d), bytes)
+        ):
+            d = np.array(d, dtype=np.uint8, order="C")
         if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
             raise ValueError(f"mask must be a 2-D grid, got shape {d.shape}")
         if d.max(initial=0) > max(ClassId):

@@ -259,28 +259,31 @@ def _parse_gen_spec(spec: str) -> tuple[int, int, int, float | None]:
     return count, width, height, noise
 
 
-def _recv_into(conn: socket.socket, buf: bytearray, n: int) -> None:
-    """Append n bytes from conn to buf, or fewer if the stream ends first."""
-    end = len(buf) + n
-    while len(buf) < end:
-        chunk = conn.recv(min(end - len(buf), _RECV_CHUNK))
+def _recv(conn: socket.socket, n: int, chunks: list[bytes]) -> int:
+    """Append n bytes from conn to chunks, or fewer if the stream ends first;
+    returns how many arrived."""
+    left = n
+    while left:
+        chunk = conn.recv(min(left, _RECV_CHUNK))
         if not chunk:
-            return
-        buf += chunk
+            break
+        chunks.append(chunk)
+        left -= len(chunk)
+    return n - left
 
 
 def read_wire_frame(conn: socket.socket) -> FrameMessage | None:
-    """One frame from a stream socket, read into one buffer; None on clean
-    end-of-stream. A bad header raises before its payload is read, so a
+    """One frame from a stream socket, joined into one bytes object; None on
+    clean end-of-stream. A bad header raises before its payload is read, so a
     stalled peer is not awaited."""
-    buf = bytearray()
-    _recv_into(conn, buf, HEADER_SIZE)
-    if not buf:
+    chunks: list[bytes] = []
+    got = _recv(conn, HEADER_SIZE, chunks)
+    if not got:
         return None
-    if len(buf) < HEADER_SIZE:
+    if got < HEADER_SIZE:
         raise TruncatedError("connection closed inside a header")
-    _recv_into(conn, buf, _payload_length(buf)[2])
-    return decode_frame(buf)
+    _recv(conn, _payload_length(b"".join(chunks))[2], chunks)
+    return decode_frame(b"".join(chunks))
 
 
 def socket_source(conn: socket.socket) -> Iterator[SourceFrame | SourceFailure]:

@@ -158,14 +158,15 @@ def _convex_chains(
 
 
 def _cluster_hulls(
-    classes: list[Spans],
+    spans: Spans, height: int
 ) -> tuple[np.ndarray, list[np.ndarray | None], np.ndarray]:
     """The convex hull of every cluster of a frame, all classes in one pass.
 
-    Clusters are numbered class by class, in label order, so the clusters of
-    `classes[i]` come after those of the classes before it. Returns each
-    cluster's class index, its hull and the hull's area. A hull is None when
-    it has fewer than 3 vertices or no area.
+    `spans` are the clusters of a stack of class grids `height` rows each, as
+    `dbscan_lattice` gives them: labels count up grid by grid, and a span's
+    class index is its row // height. Returns each cluster's class index, its
+    hull and the hull's area. A hull is None when it has fewer than 3
+    vertices or no area.
 
     A cluster's hull is the hull of the leftmost and rightmost pixel of each
     row it occupies: every other pixel of a row lies between the two. Laid
@@ -182,16 +183,13 @@ def _cluster_hulls(
     ring; started at its least (x, y), it is the ring Andrew's monotone
     chain gives. Coordinates are integers, so the shoelace area is exact.
     """
-    counts = [int(s.label.max()) + 1 if len(s.label) else 0 for s in classes]
-    owner = np.repeat(np.arange(len(classes)), counts)
-    if not len(owner):
-        return owner, [], np.zeros(0)
-    offsets = np.cumsum(counts) - counts
-    label = np.concatenate([s.label + o for s, o in zip(classes, offsets)])
-    y = np.concatenate([s.y for s in classes])
-    first = np.concatenate([s.first for s in classes])
-    last = np.concatenate([s.last for s in classes])
-    height, width = int(y.max()) + 1, int(last.max()) + 1
+    label, first, last = spans.label, spans.first, spans.last
+    if not len(label):
+        return label, [], np.zeros(0)
+    grid, y = np.divmod(spans.y, height)
+    owner = np.empty(int(label.max()) + 1, dtype=np.int64)
+    owner[label] = grid
+    width = int(last.max()) + 1
     # Spans of one cluster and row are disjoint, so sorting them by first
     # also sorts them by last: a row's first span holds its leftmost pixel
     # and its last span its rightmost.
@@ -248,11 +246,15 @@ def _cluster_hulls(
     return owner, hulls, area
 
 
+_CLASSES = (ClassId.EGO_LANE, ClassId.OTHER_LANES)
+_CODES = np.array(_CLASSES, dtype=np.uint8)
+
+
 def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None) -> RegionSet:
     """Full pipeline from mask to disjoint, side-attributed lane regions.
 
-    Each class is clustered on the downsampled pixel grid by
-    `dbscan_lattice`, ego first. Each cluster comes out as row spans, and
+    Both classes are clustered on the downsampled pixel grid in one
+    `dbscan_lattice` call, ego first. Each cluster comes out as row spans, and
     the hulls of all clusters of the frame are built in one pass from the
     leftmost and rightmost span end of every row each occupies.
     """
@@ -262,12 +264,11 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
     # min_region_area is stated at full resolution; hulls live on the
     # downsampled grid until the final scaling step.
     min_area_small = cfg.min_region_area / float(factor * factor)
-    classes = (ClassId.EGO_LANE, ClassId.OTHER_LANES)
     owner, hulls, areas = _cluster_hulls(
-        [dbscan_lattice(small.data == int(c), cfg.cluster) for c in classes]
+        dbscan_lattice(small.data == _CODES[:, None, None], cfg.cluster), small.height
     )
     ordered = [
-        (classes[i], [hull])
+        (_CLASSES[i], [hull])
         for i, hull, area in zip(owner.tolist(), hulls, areas.tolist())
         if hull is not None and area >= min_area_small
     ]

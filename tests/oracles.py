@@ -10,7 +10,8 @@ relabel clusters below min_cluster_size to noise, renumbering the survivors
 contiguously from 0. For pixels from `extract_points`, index order is
 row-major order.
 
-`convex_hull` is Andrew's monotone chain over any points,
+`stack_spans` lays out the spans of separate grids as those of one stack of
+them. `convex_hull` is Andrew's monotone chain over any points,
 `clip_intersection` is `convex_intersection` without its separating-edge test,
 and `is_convex_ccw` and `point_in_convex` check the polygons the package makes.
 """
@@ -20,7 +21,7 @@ from collections import deque
 
 import numpy as np
 
-from lanespace.clustering import NOISE, ClusterParams, _components
+from lanespace.clustering import NOISE, ClusterParams, Spans, _components
 from lanespace.core import ClassId, SegmentationMask
 from lanespace.geometry import EPS_AREA, EPS_GEOM, _cross, _ring, _split, polygon_area
 
@@ -210,3 +211,17 @@ def point_in_convex(vertices: np.ndarray, point, tol: float = EPS_GEOM) -> bool:
     cross = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]
     # cross / |edge| is the signed distance to the edge line.
     return bool(np.all(cross >= -tol * np.hypot(e[:, 0], e[:, 1])))
+
+
+def stack_spans(grids: list[Spans], height: int) -> Spans:
+    """The spans of separate grids `height` rows each as those of their stack:
+    each grid's labels offset by the clusters of the grids before it, its rows
+    by their rows."""
+    counts = [int(s.label.max()) + 1 if len(s.label) else 0 for s in grids]
+    offsets = np.cumsum(counts) - counts
+    return Spans(
+        np.concatenate([s.label + o for s, o in zip(grids, offsets)]),
+        np.concatenate([s.y + g * height for g, s in enumerate(grids)]),
+        np.concatenate([s.first for s in grids]),
+        np.concatenate([s.last for s in grids]),
+    )

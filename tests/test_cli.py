@@ -456,6 +456,8 @@ def test_eval_requires_predictions_for_every_frame(tmp_path, capsys):
     [
         "not json",
         "[1]",
+        "{}",
+        '{"frame_id": 0}',
         '{"regions": 5}',
         '{"regions": ["ego"]}',
         '{"regions": [{"lane": "ego"}]}',

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lanespace.clustering import NOISE, ClusterParams, dbscan_lattice
 from lanespace.core import ClassId, downsample
 from lanespace.scenes import generate, sample_spec
-from oracles import dbscan, dbscan_bruteforce, oracle_labels
+from oracles import dbscan, dbscan_bruteforce, oracle_labels, stack_spans
 
 
 def partition_of(labels: np.ndarray) -> tuple[frozenset, frozenset]:
@@ -197,6 +197,48 @@ def lattice_cases(draw):
 def test_lattice_labels_equal_grid_labels(case):
     member, params = case
     assert np.array_equal(lattice_labels(member, params), oracle_labels(member, params))
+
+
+def in_raster_order(spans):
+    """Spans sorted by label, row and first pixel, which is unique."""
+    order = np.lexsort((spans.first, spans.y, spans.label))
+    return [field[order] for field in spans]
+
+
+@st.composite
+def stacked_cases(draw):
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = rng.random((2, h, w)) < draw(st.floats(0.05, 0.95))
+    if draw(st.booleans()):
+        # Clusters along the last row of grid 0 and the first row of grid 1,
+        # which one stencil would join were the grids not kept apart.
+        grids[0, -1, :] = True
+        grids[1, 0, :] = True
+    params = ClusterParams(
+        eps=draw(st.sampled_from((0.5, 1.5, 2.5, 3.0))),
+        min_pts=draw(st.integers(1, 9)),
+        min_cluster_size=draw(st.integers(3, 12)),
+    )
+    return grids, params
+
+
+@given(stacked_cases())
+def test_a_stack_of_two_grids_gives_the_spans_of_two_calls(case):
+    grids, params = case
+    apart = stack_spans([dbscan_lattice(g, params) for g in grids], grids.shape[1])
+    stacked = dbscan_lattice(grids, params)
+    for got, want in zip(in_raster_order(stacked), in_raster_order(apart)):
+        assert np.array_equal(got, want)
+
+
+def test_a_stack_of_one_is_the_grid():
+    mask = downsample(generate(sample_spec(5, noise_rate=0.01))[0], 4)
+    member = mask.data == int(ClassId.OTHER_LANES)
+    want = dbscan_lattice(member, ClusterParams())
+    assert len(want.label) > 0
+    got = dbscan_lattice(member[None], ClusterParams())
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_lattice_border_pixel_takes_the_lowest_adjacent_cluster():

@@ -60,6 +60,37 @@ def test_mask_leaves_the_callers_array_writable():
     assert m.data[0, 0] == 0
 
 
+def test_a_mask_over_bytes_keeps_their_memory_read_only():
+    raw = b"head" + bytes([0, 1, 2, 2, 1, 0])
+    source = np.frombuffer(raw, dtype=np.uint8)
+    for data in (
+        source[4:].reshape(2, 3),
+        np.frombuffer(memoryview(raw)[4:], dtype=np.uint8).reshape(2, 3),
+    ):
+        m = SegmentationMask(data)
+        assert np.shares_memory(m.data, source)
+        assert not m.data.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 1
+
+
+def test_a_mask_copies_a_read_only_view_of_a_bytearray():
+    source = bytearray([0, 1, 2, 2, 1, 0])
+    view = np.frombuffer(source, dtype=np.uint8).reshape(2, 3)
+    view.setflags(write=False)
+    m = SegmentationMask(view)
+    assert not np.shares_memory(m.data, view)
+    source[0] = 2
+    assert m.data[0, 0] == 0
+
+
+def test_a_mask_copies_a_non_contiguous_view_of_bytes():
+    view = np.frombuffer(bytes(range(3)) * 4, dtype=np.uint8).reshape(3, 4)[:, ::2]
+    m = SegmentationMask(view)
+    assert not np.shares_memory(m.data, view)
+    assert m.data.flags.c_contiguous and np.array_equal(m.data, view)
+
+
 def test_extract_points_empty_and_single():
     empty = SegmentationMask(np.zeros((4, 4), dtype=np.uint8))
     assert extract_points(empty, ClassId.EGO_LANE).shape == (0, 2)

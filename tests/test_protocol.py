@@ -338,6 +338,14 @@ def test_encoding_a_mask_holds_the_frame_about_once():
     assert peak <= 1.25 * len(frame)
 
 
+def test_a_decoded_mask_keeps_the_frame_bytes():
+    mask = SegmentationMask(np.arange(12, dtype=np.uint8).reshape(3, 4) % 3)
+    frame = encode_frame(mask_frame(1, mask, RoadClass.HIGHWAY))
+    got = decode_frame(frame).payload.to_mask()
+    assert got == mask
+    assert np.shares_memory(got.data, np.frombuffer(frame, dtype=np.uint8))
+
+
 def test_a_column_major_mask_is_sent_in_raster_order():
     grid = np.arange(12, dtype=np.uint8).reshape(3, 4) % 3
     mask = SegmentationMask(np.asfortranarray(grid))

@@ -32,7 +32,7 @@ from lanespace.regions import (
     resolve_overlaps,
 )
 from lanespace.scenes import generate, sample_spec
-from oracles import clip_intersection, convex_hull, dbscan, extract_points
+from oracles import clip_intersection, convex_hull, dbscan, extract_points, stack_spans
 
 
 def square(x0, y0, side):
@@ -236,8 +236,9 @@ def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster(eps):
                 hull = convex_hull(points[labels == k])
                 if hull is not None and polygon_area(hull) >= min_area:
                     expected.append((cls, hull))
+        stack = np.stack([small.data == int(cls) for cls in classes])
         owner, hulls, areas = regions._cluster_hulls(
-            [regions.dbscan_lattice(small.data == int(cls), cfg.cluster) for cls in classes]
+            regions.dbscan_lattice(stack, cfg.cluster), small.height
         )
         got = [
             (classes[i], hull)
@@ -262,9 +263,11 @@ def all_row_extremes(spans):
 
 
 def assert_hulls_match_the_oracle(*classes):
-    """Each class's clusters in turn: the one-pass hulls and the oracle hulls
-    of all row extremes are byte-equal, None included, and so are the areas."""
-    owner, hulls, areas = regions._cluster_hulls(list(classes))
+    """Each class's clusters in turn, stacked as one frame's: the one-pass
+    hulls and the oracle hulls of all row extremes are byte-equal, None
+    included, and so are the areas."""
+    height = 1 + max((int(spans.y.max()) for spans in classes if len(spans.y)), default=0)
+    owner, hulls, areas = regions._cluster_hulls(stack_spans(list(classes), height), height)
     labelled = [(i, points) for i, spans in enumerate(classes) for points in all_row_extremes(spans)]
     assert owner.tolist() == [i for i, _ in labelled]
     full = [points for _, points in labelled]
@@ -342,7 +345,7 @@ def test_pruning_leaves_few_of_a_trapezoids_row_extremes():
 
 def test_frame_with_no_clusters_has_no_hulls():
     none = Spans(*[np.empty(0, dtype=np.int64)] * 4)
-    owner, hulls, areas = regions._cluster_hulls([none, none])
+    owner, hulls, areas = regions._cluster_hulls(none, 8)
     assert owner.tolist() == [] and hulls == [] and areas.tolist() == []
 
 
@@ -378,7 +381,7 @@ def test_eps_picks_the_clustering_path(monkeypatch):
         calls.clear()
         prunes.clear()
         rs = extract_regions(three_lane_mask(), ExtractionConfig(cluster=ClusterParams(eps=eps)))
-        assert len(calls) == 2  # one call per class
+        assert len(calls) == 1  # one call for both classes
         assert len(prunes) == 1  # one pruning call for the frame
         assert rs.ego is not None and rs.left is not None and rs.right is not None
         pieces = [p for region in rs.present() for p in region.pieces]

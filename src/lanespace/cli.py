@@ -163,7 +163,10 @@ def cmd_eval(args) -> int:
             pred_rc = read_road_class(pred_doc)
         else:
             raise ValueError(f"no prediction for {gt_path.name}")
-        totals = totals + confusion(pred_mask, gt_mask)
+        try:
+            totals = totals + confusion(pred_mask, gt_mask)
+        except ValueError as e:  # only a mask prediction can have another shape
+            raise ValueError(f"{pred_pgm}: {e}") from None
         gt_rc = read_road_class(gt_path.with_suffix(".json"))
         if gt_rc != RoadClass.UNKNOWN and pred_rc != RoadClass.UNKNOWN:
             gt_classes.append(int(gt_rc))

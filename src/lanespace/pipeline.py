@@ -43,31 +43,7 @@ IDLE_TIMEOUT_S = 30.0
 
 
 class ProtocolError(ValueError):
-    """Base for every wire-format rejection."""
-
-
-class MagicError(ProtocolError):
-    pass
-
-
-class VersionError(ProtocolError):
-    pass
-
-
-class MessageTypeError(ProtocolError):
-    pass
-
-
-class TruncatedError(ProtocolError):
-    pass
-
-
-class LengthError(ProtocolError):
-    pass
-
-
-class PayloadError(ProtocolError):
-    pass
+    """Every wire-format refusal; its message names the malformation."""
 
 
 @dataclass(frozen=True)
@@ -124,49 +100,44 @@ def encode_frame(msg: FrameMessage) -> bytes:
     return b"".join((_HEADER.pack(MAGIC, VERSION, msg_type, msg.frame_id, payload_len), *parts))
 
 
-def _payload_length(header: bytes | bytearray) -> tuple[int, int, int]:
-    """The message type, frame id and payload length a header announces, once
-    its magic, version, message type and length bound have been checked."""
-    magic, version, msg_type, frame_id, payload_len = _HEADER.unpack_from(header)
+def _payload_length(header: bytes | bytearray, msg_type: int) -> tuple[int, int]:
+    """The frame id and payload length a header announces, once its magic,
+    version, message type (msg_type, and no other) and length bound have
+    been checked."""
+    magic, version, got_type, frame_id, payload_len = _HEADER.unpack_from(header)
     if magic != MAGIC:
-        raise MagicError(f"bad magic {magic!r}")
+        raise ProtocolError(f"bad magic {magic!r}")
     if version != VERSION:
-        raise VersionError(f"unsupported version {version}")
-    if msg_type not in (MSG_MASK, MSG_REGIONS):
-        raise MessageTypeError(f"unknown message type {msg_type}")
+        raise ProtocolError(f"unsupported version {version}")
+    if got_type != msg_type:
+        raise ProtocolError(f"message type {got_type}, expected {msg_type}")
     if payload_len > _MAX_PAYLOAD:
-        raise LengthError(f"payload length {payload_len} implausible")
-    return msg_type, frame_id, payload_len
+        raise ProtocolError(f"payload length {payload_len} implausible")
+    return frame_id, payload_len
 
 
-def decode_frame(data: bytes | bytearray) -> FrameMessage:
-    """Decode one complete frame, a mask payload as a view into data; every
-    malformation has its own error class."""
+def decode_frame(data: bytes | bytearray, msg_type: int) -> FrameMessage:
+    """Decode one complete frame of msg_type, a mask payload as a view into
+    data; any malformation raises ProtocolError."""
     if len(data) < HEADER_SIZE:
-        raise TruncatedError(f"{len(data)} bytes is shorter than a header")
-    msg_type, frame_id, payload_len = _payload_length(data)
+        raise ProtocolError(f"{len(data)} bytes is shorter than a header")
+    frame_id, payload_len = _payload_length(data, msg_type)
     body = memoryview(data)[HEADER_SIZE:]
-    if len(body) < payload_len:
-        raise TruncatedError(f"payload needs {payload_len} bytes, got {len(body)}")
-    if len(body) > payload_len:
-        raise LengthError(f"{len(body) - payload_len} trailing bytes after payload")
+    if len(body) != payload_len:
+        raise ProtocolError(f"payload needs {payload_len} bytes, got {len(body)}")
     if msg_type == MSG_REGIONS:
         return FrameMessage(frame_id, RegionPayload(document=bytes(body)))
     if len(body) < _MASK_HEAD.size:
-        raise TruncatedError("mask payload shorter than its fixed fields")
+        raise ProtocolError("mask payload shorter than its fixed fields")
     width, height, rc = _MASK_HEAD.unpack_from(body)
     mask_bytes = body[_MASK_HEAD.size :]
     if len(mask_bytes) != width * height:
-        raise LengthError(
-            f"mask needs {width * height} bytes, got {len(mask_bytes)}"
-        )
+        raise ProtocolError(f"mask needs {width * height} bytes, got {len(mask_bytes)}")
     try:
         road_class = RoadClass(rc)
     except ValueError:
-        raise PayloadError(f"invalid road class code {rc}") from None
-    return FrameMessage(
-        frame_id, MaskPayload(width, height, road_class, mask_bytes)
-    )
+        raise ProtocolError(f"invalid road class code {rc}") from None
+    return FrameMessage(frame_id, MaskPayload(width, height, road_class, mask_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +200,12 @@ def gen_source(spec: str, seed: int = 0) -> Iterator[SourceFrame | SourceFailure
     """
     from .scenes import generate, sample_spec
 
-    count, width, height, noise = _parse_gen_spec(spec)
-    shared = dict(width=width, height=height, noise_rate=noise)
-    first = sample_spec(seed, **shared)  # checks what every scene shares
+    try:
+        count, width, height, noise = _parse_gen_spec(spec)
+        shared = dict(width=width, height=height, noise_rate=noise)
+        first = sample_spec(seed, **shared)  # checks what every scene shares
+    except ValueError as e:
+        raise ValueError(f"generator spec {spec!r}: {e}") from None
 
     def frames() -> Iterator[SourceFrame | SourceFailure]:
         for i in range(count):
@@ -243,19 +217,17 @@ def gen_source(spec: str, seed: int = 0) -> Iterator[SourceFrame | SourceFailure
 
 
 def _parse_gen_spec(spec: str) -> tuple[int, int, int, float | None]:
-    body, noise = spec, None
-    if "@" in spec:
-        body, rate = spec.split("@", 1)
-        noise = float(rate)
+    body, at, rate = spec.partition("@")
     parts = body.split("x")
     if len(parts) == 1:
-        count, width, height = int(parts[0]), 640, 480
-    elif len(parts) == 3:
-        count, width, height = int(parts[0]), int(parts[1]), int(parts[2])
-    else:
-        raise ValueError(f"generator spec {spec!r} is not N or NxWxH")
+        parts += ["640", "480"]
+    try:
+        count, width, height = map(int, parts)  # the wrong number of parts raises too
+        noise = float(rate) if at else None
+    except ValueError:
+        raise ValueError("not N[xWxH][@noise]") from None
     if count < 1:
-        raise ValueError("generator spec needs at least one frame")
+        raise ValueError("needs at least one frame")
     return count, width, height, noise
 
 
@@ -272,18 +244,19 @@ def _recv(conn: socket.socket, n: int, chunks: list[bytes]) -> int:
     return n - left
 
 
-def read_wire_frame(conn: socket.socket) -> FrameMessage | None:
-    """One frame from a stream socket, joined into one bytes object; None on
-    clean end-of-stream. A bad header raises before its payload is read, so a
-    stalled peer is not awaited."""
+def read_wire_frame(conn: socket.socket, msg_type: int) -> FrameMessage | None:
+    """One frame of msg_type from a stream socket, joined into one bytes
+    object; None on clean end-of-stream. A bad header, or one of another
+    message type, raises before its payload is read, so a stalled peer is
+    not awaited."""
     chunks: list[bytes] = []
     got = _recv(conn, HEADER_SIZE, chunks)
     if not got:
         return None
     if got < HEADER_SIZE:
-        raise TruncatedError("connection closed inside a header")
-    _recv(conn, _payload_length(b"".join(chunks))[2], chunks)
-    return decode_frame(b"".join(chunks))
+        raise ProtocolError("connection closed inside a header")
+    _recv(conn, _payload_length(b"".join(chunks), msg_type)[1], chunks)
+    return decode_frame(b"".join(chunks), msg_type)
 
 
 def socket_source(conn: socket.socket) -> Iterator[SourceFrame | SourceFailure]:
@@ -292,7 +265,7 @@ def socket_source(conn: socket.socket) -> Iterator[SourceFrame | SourceFailure]:
     last_id = -1
     while True:
         try:
-            msg = read_wire_frame(conn)
+            msg = read_wire_frame(conn, MSG_MASK)
         except ProtocolError as e:
             yield SourceFailure(f"protocol: {e}")
             return
@@ -300,9 +273,6 @@ def socket_source(conn: socket.socket) -> Iterator[SourceFrame | SourceFailure]:
             yield SourceFailure(f"idle: no bytes from the peer for {conn.gettimeout():g} s")
             return
         if msg is None:
-            return
-        if not isinstance(msg.payload, MaskPayload):
-            yield SourceFailure("protocol: expected a mask frame")
             return
         if msg.frame_id <= last_id:
             yield SourceFailure(
@@ -512,10 +482,7 @@ class PipelineClient:
         self.conn.sendall(encode_frame(mask_frame(frame_id, mask, road_class)))
 
     def recv_regions(self) -> FrameMessage | None:
-        msg = read_wire_frame(self.conn)
-        if msg is not None and not isinstance(msg.payload, RegionPayload):
-            raise MessageTypeError("expected a region frame")
-        return msg
+        return read_wire_frame(self.conn, MSG_REGIONS)
 
     def finish_sending(self) -> None:
         self.conn.shutdown(socket.SHUT_WR)

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import ClassId, RoadClass, SegmentationMask, road_class_from_name, road_class_name
+from .core import ClassId, RoadClass, SegmentationMask, road_class_name
 from .regions import LANE_EGO, LANE_LEFT, LANE_RIGHT
 
 _ROLE_ORDER = {LANE_LEFT: 0, LANE_EGO: 1, LANE_RIGHT: 2}
@@ -99,26 +99,6 @@ class SceneSpec:
             ],
             "obstacles": [list(o) for o in self.obstacles],
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "SceneSpec":
-        return cls(
-            width=int(raw["width"]),
-            height=int(raw["height"]),
-            lanes=tuple(
-                LaneBand(
-                    lane=l["lane"],
-                    bottom=tuple(float(v) for v in l["bottom"]),
-                    top=tuple(float(v) for v in l["top"]),
-                    horizon=int(l["horizon"]),
-                )
-                for l in raw["lanes"]
-            ),
-            obstacles=tuple(tuple(int(v) for v in o) for o in raw.get("obstacles", ())),
-            noise_rate=float(raw.get("noise_rate", 0.0)),
-            road_class=road_class_from_name(raw.get("road_class", "unknown")),
-            seed=int(raw.get("seed", 0)),
-        )
 
 
 @dataclass(frozen=True)

@@ -32,17 +32,15 @@ from lanespace.losses import (
 )
 from lanespace.metrics import ConfusionCounts, confusion, iou
 from lanespace.pipeline import (
-    LengthError,
-    MagicError,
+    MSG_MASK,
+    MSG_REGIONS,
     MaskPayload,
-    MessageTypeError,
     NullSink,
     PipelineClient,
     PipelineConfig,
+    ProtocolError,
     RegionPayload,
     FrameMessage,
-    TruncatedError,
-    VersionError,
     decode_frame,
     encode_frame,
     gen_source,
@@ -342,12 +340,14 @@ def test_criterion_9_wire_protocol():
             if case % 4 == 3:
                 payload = rng.integers(0, 256, int(rng.integers(0, 257))).astype(np.uint8)
                 msg = FrameMessage(frame_id, RegionPayload(payload.tobytes()))
+                msg_type = MSG_REGIONS
             else:
                 w, h = (int(v) for v in rng.integers(1, 49, 2))
                 mask = SegmentationMask(rng.integers(0, 3, (h, w)).astype(np.uint8))
                 rc = road_classes[int(rng.integers(len(road_classes)))]
                 msg = mask_frame(frame_id, mask, rc)
-            again = decode_frame(encode_frame(msg))
+                msg_type = MSG_MASK
+            again = decode_frame(encode_frame(msg), msg_type)
             assert again == msg, f"round trip differs at case {case}"
 
         base = encode_frame(
@@ -359,14 +359,15 @@ def test_criterion_9_wire_protocol():
         truncated = base[:-1]
         oversized = base[:10] + (1 << 30).to_bytes(4, "big") + base[14:]
         trailing = base + b"\x00"
-        for raw, exc in (
-            (bad_magic, MagicError),
-            (bad_version, VersionError),
-            (bad_type, MessageTypeError),
-            (truncated, TruncatedError),
-            (base[:7], TruncatedError),
-            (oversized, LengthError),
-            (trailing, LengthError),
+        for raw, msg_type, words in (
+            (bad_magic, MSG_MASK, "bad magic"),
+            (bad_version, MSG_MASK, "unsupported version 9"),
+            (bad_type, MSG_MASK, "message type 7, expected 1"),
+            (base, MSG_REGIONS, "message type 1, expected 2"),
+            (truncated, MSG_MASK, "payload needs 9 bytes, got 8"),
+            (base[:7], MSG_MASK, "7 bytes is shorter than a header"),
+            (oversized, MSG_MASK, "implausible"),
+            (trailing, MSG_MASK, "payload needs 9 bytes, got 10"),
         ):
-            with pytest.raises(exc):
-                decode_frame(raw)
+            with pytest.raises(ProtocolError, match=words):
+                decode_frame(raw, msg_type)

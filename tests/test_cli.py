@@ -355,12 +355,16 @@ def test_run_rejects_a_missing_source_directory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "source", ["dir:{tmp}/missing", "gen:5x640", "gen:axbxc", "gen:1x16x16", "gen:2@0.5"]
+    "source",
+    ["dir:{tmp}/missing", "gen:5x640", "gen:axbxc", "gen:1x16x16", "gen:2@0.5", "gen:2@abc"],
 )
 def test_run_with_a_bad_source_leaves_no_sink_directory(tmp_path, capsys, source):
     out = tmp_path / "out"
     assert main(["run", "--source", source.format(tmp=tmp_path), "--sink", f"dir:{out}"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if source.startswith("gen:"):
+        assert f"generator spec {source[4:]!r}" in err
     assert not out.exists()
 
 
@@ -397,7 +401,9 @@ def test_run_closes_the_sink_of_a_served_pipeline(monkeypatch, capsys, serve_fai
 @pytest.mark.parametrize("size", ["0x0", "2x2", "-5x10"])
 def test_run_rejects_a_generated_scene_below_16x16(size, capsys):
     assert main(["run", "--source", f"gen:1x{size}", "--sink", "null"]) == 2
-    assert capsys.readouterr().err.strip() == "error: scene must be at least 16x16"
+    assert capsys.readouterr().err.strip() == (
+        f"error: generator spec '1x{size}': scene must be at least 16x16"
+    )
 
 
 def test_eval_of_identical_directories_is_perfect(tmp_path, capsys):
@@ -491,6 +497,19 @@ def test_eval_names_a_ground_truth_mask_it_cannot_read(tmp_path, capsys):
     assert main(["eval", "--pred", str(scenes), "--gt", str(scenes)]) == 2
     assert capsys.readouterr().err == (
         f"error: {bad}: truncated pixel data: expected 4096 bytes, got 2\n"
+    )
+
+
+def test_eval_names_a_predicted_mask_of_another_shape(tmp_path, capsys):
+    scenes, pred = tmp_path / "scenes", tmp_path / "pred"
+    assert main(["gen", "--count", "1", "--width", "64", "--height", "48", "--out", str(scenes)]) == 0
+    capsys.readouterr()
+    pred.mkdir()
+    small = pred / "000000.pgm"
+    write_mask(small, SegmentationMask(np.zeros((24, 32), dtype=np.uint8)))
+    assert main(["eval", "--pred", str(pred), "--gt", str(scenes)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {small}: shape mismatch: pred (24, 32) vs gt (48, 64)\n"
     )
 
 

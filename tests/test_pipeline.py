@@ -13,10 +13,13 @@ from lanespace.netpbm import write_mask
 from lanespace import pipeline
 from lanespace.pipeline import (
     HEADER_SIZE,
+    MAGIC,
     MSG_MASK,
+    MSG_REGIONS,
     VERSION,
     PipelineClient,
     PipelineConfig,
+    ProtocolError,
     SourceFailure,
     SourceFrame,
     dir_source,
@@ -393,16 +396,39 @@ def test_malformed_wire_frame_closes_the_connection():
     assert result["stats"].errors == 1
 
 
+def header_announcing(magic, msg_type, payload_len):
+    return magic + bytes([VERSION, msg_type]) + (0).to_bytes(4, "big") + payload_len.to_bytes(4, "big")
+
+
 def test_a_bad_header_is_refused_before_its_payload_arrives():
-    # The header announces 100 payload bytes that never come; the server
-    # must not wait for a payload it would reject.
-    bad = b"XXXX" + bytes([VERSION, MSG_MASK]) + (0).to_bytes(4, "big") + (100).to_bytes(4, "big")
-    thread, port, result = start_server()
-    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
-        conn.sendall(bad)
-        thread.join(5.0)
-        assert not thread.is_alive()
-    assert result["stats"].errors == 1
+    # Each header announces a payload that never comes; the server must not
+    # wait for a payload it would reject. The 30 s idle timeout is left as it
+    # is, so only a refusal at the header ends the run within a second.
+    for bad, reason in (
+        (header_announcing(b"XXXX", MSG_MASK, 100), "protocol: bad magic b'XXXX'"),
+        (header_announcing(MAGIC, MSG_REGIONS, 1 << 20), "protocol: message type 2, expected 1"),
+    ):
+        thread, port, result = start_server()
+        with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+            conn.sendall(bad)
+            thread.join(1.0)
+            assert not thread.is_alive()
+        assert result["stats"].failures == [reason]
+
+
+def test_the_client_refuses_a_mask_header_before_its_payload_arrives():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = PipelineClient(f"127.0.0.1:{server.getsockname()[1]}", timeout=5.0)
+        peer, _ = server.accept()
+        with peer:
+            peer.sendall(header_announcing(MAGIC, MSG_MASK, 1 << 20))
+            t0 = time.monotonic()
+            try:
+                with pytest.raises(ProtocolError, match="message type 1, expected 2"):
+                    client.recv_regions()
+            finally:
+                client.close()
+    assert time.monotonic() - t0 < 1.0
 
 
 def stalled_frame_bytes(stall):
@@ -464,8 +490,8 @@ def test_the_tcp_sink_closes_its_socket():
             sink.deliver(3, b"{}")
             sink.close()
             assert sink.conn.fileno() == -1
-            assert read_wire_frame(peer).payload.document == b"{}"
-            assert read_wire_frame(peer) is None
+            assert read_wire_frame(peer, MSG_REGIONS).payload.document == b"{}"
+            assert read_wire_frame(peer, MSG_REGIONS) is None
 
 
 def test_non_increasing_frame_ids_stop_the_stream():

@@ -24,7 +24,6 @@ from .pipeline import (
     frame_document,
     make_sink,
     make_source,
-    parse_address,
     read_road_class,
     run_pipeline,
     serve,
@@ -103,20 +102,19 @@ def cmd_process(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    served = args.source.startswith("tcp:")
-    address = args.source[len("tcp:") :]
-    # A bad source or served address fails here, before the sink makes its directory.
-    if served:
-        parse_address(address)
-    source = None if served else make_source(args.source, args.seed)
-    sink = make_sink(args.sink)
-    try:
-        if served:
-            stats = serve(address, cfg, extra_sink=sink)
-        else:
+    if args.source.startswith("tcp:"):
+        # serve makes the sink once it has bound the address, so an address
+        # that is bad or taken leaves no sink directory behind.
+        address = args.source[len("tcp:") :]
+        stats = serve(address, cfg, open_sink=lambda: make_sink(args.sink))
+    else:
+        # A bad source fails here, before the sink makes its directory.
+        source = make_source(args.source, args.seed)
+        sink = make_sink(args.sink)
+        try:
             stats = run_pipeline(source, sink, cfg)
-    finally:
-        sink.close()
+        finally:
+            sink.close()
     report = _report(
         seed=args.seed,
         config=dataclasses.asdict(cfg),

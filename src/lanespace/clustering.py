@@ -15,6 +15,7 @@ are relabeled to noise with the survivors renumbered contiguously from 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -62,7 +63,7 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     root = np.arange(n)
     while True:
         ra, rb = root[a], root[b]
-        if np.array_equal(ra, rb):
+        if (ra == rb).all():
             break
         # Hook every root under the lowest root across its edges. Links only
         # ever point to lower nodes, so they cannot form a cycle.
@@ -71,11 +72,28 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
         np.minimum.at(root, rb, low)
         while True:  # pointer-jump until every node links straight to its root
             up = root[root]
-            if np.array_equal(up, root):
+            if (up == root).all():
                 break
             root = up
     is_root = root == np.arange(n)
     return (np.cumsum(is_root) - 1)[root], int(is_root.sum())
+
+
+def _sparse_flatnonzero(a: np.ndarray) -> np.ndarray:
+    """np.flatnonzero of a 1-D bool array in which few elements are True.
+
+    np.flatnonzero spends about the same time on every element up to the last
+    True one. On a long array it is faster to find the 8-byte words that hold
+    a True first and look only inside those; below 2**16 elements the extra
+    calls cost more than they save.
+    """
+    if len(a) < 1 << 16:
+        return np.flatnonzero(a)
+    cut = len(a) - len(a) % 8
+    words = a[:cut].view(np.uint64)
+    hit = np.flatnonzero(words != 0)
+    at = np.flatnonzero(words[hit].view(bool))
+    return np.concatenate([hit[at >> 3] * 8 + (at & 7), cut + np.flatnonzero(a[cut:])])
 
 
 def _runs_meeting(
@@ -91,39 +109,52 @@ def _runs_meeting(
     return pos[: len(lo)] // 2, (pos[len(lo) :] + 1) // 2
 
 
-def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
+def dbscan_lattice(
+    grid: np.ndarray, params: ClusterParams, codes: np.ndarray | None = None
+) -> Spans:
     """DBSCAN of the True pixels of a boolean grid, or of each grid of a
     (k, H, W) stack, as row spans.
 
-    The spans cover exactly the clustered pixels, each with the label that
-    sequential DBSCAN gives it over the pixels' (x, y) coordinates in
+    With `codes`, grid is one 2-D grid of class codes and stands for the
+    stack `grid == codes[:, None, None]`, which is never built: each code's
+    membership is written straight into the padded array the clustering
+    reads. The spans cover exactly the clustered pixels, each with the label
+    that sequential DBSCAN gives it over the pixels' (x, y) coordinates in
     row-major order. The grids of a stack are clustered apart: labels count
     up grid by grid, and row r of grid g is row g * H + r of the spans.
     """
-    member = np.asarray(grid, dtype=bool)
-    if member.ndim == 2:
-        member = member[None]
-    grids, height, width = member.shape
+    if codes is None:
+        member = np.asarray(grid, dtype=bool)
+        if member.ndim == 2:
+            member = member[None]
+        grids, (height, width) = len(member), member.shape[1:]
+    else:
+        # A strided sample compares faster once made contiguous.
+        member = np.ascontiguousarray(grid)
+        grids, (height, width) = len(codes), member.shape
     # The stencil: hw[dy] for dy = 0..R is the largest dx with
-    # dx^2 + dy^2 <= eps^2, compared in float64 as distances are. R and hw
-    # stop at the grid's size, past which a stencil reaches no other pixel,
-    # so a huge or infinite eps stays bounded.
-    eps2 = params.eps * params.eps
-    dy = np.arange(height, dtype=np.float64)
-    dy = dy[dy * dy <= eps2]
-    dx = np.arange(width, dtype=np.float64)
-    hw = (dx * dx + (dy * dy)[:, None] <= eps2).sum(axis=1) - 1
+    # dx^2 + dy^2 <= eps^2 in float64, as distances are compared. The squares
+    # are exact integers there, so that is dx^2 + dy^2 <= floor(eps^2). R and
+    # hw stop at the grid's size, past which a stencil reaches no other
+    # pixel, so a huge or infinite eps stays bounded.
+    top = math.floor(min(params.eps * params.eps, (height - 1) ** 2 + (width - 1) ** 2))
+    reach = min(height - 1, math.isqrt(top))
+    half_widths = [min(width - 1, math.isqrt(top - dy * dy)) for dy in range(reach + 1)]
     none = np.empty(0, dtype=np.int64)
-    cells = 2 * int((2 * hw + 1).sum()) - (2 * int(hw[0]) + 1)
+    cells = 2 * sum(2 * h + 1 for h in half_widths) - (2 * half_widths[0] + 1)
     if cells == 1:
         return Spans(none, none, none, none)  # clusters of one pixel each
-    reach = len(hw) - 1
+    hw = np.array(half_widths)
     # Members in a flat index whose rows are w apart: one empty column in
     # front of each row and hw[0], at least one, after it, so that neither a
     # run nor a stencil row's window reaches into another row.
-    w = width + 1 + max(int(hw[0]), 1)
+    w = width + 1 + max(half_widths[0], 1)
     padded = np.zeros((grids, height * w), dtype=bool)
-    padded.reshape(grids, height, w)[:, :, 1 : width + 1] = member
+    inner = padded.reshape(grids, height, w)[:, :, 1 : width + 1]
+    if codes is None:
+        inner[...] = member
+    else:
+        np.equal(member, np.asarray(codes)[:, None, None], out=inner)
     # Core: the stencil holds at least min_pts members, the pixel included.
     # Its rows are summed from one horizontal window sum, widened to row 0's
     # half-width and then narrowed row by row outward, within each grid.
@@ -139,14 +170,16 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
             window[:, :-half] -= pixels[:, half:]
         counts[:, dy * w :] += window[:, : -dy * w]
         counts[:, : -dy * w] += window[:, dy * w :]
+    del window  # the arrays below reuse its memory
+    counts *= pixels  # a member keeps its count, any other pixel reads 0
     flat, counts = padded.ravel(), counts.ravel()
-    core = flat & (counts >= params.min_pts)
+    core = counts >= params.min_pts
     # One scan finds both the ends of the core runs and the border
     # candidates: members that are not core, whose stencil holds another
     # member (a count of 1 is the pixel alone, with no core pixel to claim it).
-    event = (flat > core) & (counts >= 2)
+    event = (counts >= 2) > core
     event[1:] |= core[1:] != core[:-1]
-    at = np.flatnonzero(event)
+    at = _sparse_flatnonzero(event)
     # Column 0 is empty, so no event is at 0.
     is_edge, is_border = core[at] != core[at - 1], flat[at] & ~core[at]
     # From here on the grids are `reach` rows apart in the flat index, rows
@@ -169,7 +202,7 @@ def dbscan_lattice(grid: np.ndarray, params: ClusterParams) -> Spans:
     # link its run to `first`, and each run j covered by some window's
     # first..stop-2 to j + 1, so the edges are at most windows + runs.
     met = stop > first
-    run, first, last = np.tile(np.arange(n), len(dys))[met], first[met], stop[met] - 1
+    run, first, last = np.flatnonzero(met) % n, first[met], stop[met] - 1
     chained = np.flatnonzero(
         np.cumsum(np.bincount(first, minlength=n) - np.bincount(last, minlength=n)) > 0
     )

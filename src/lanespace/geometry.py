@@ -17,19 +17,26 @@ EPS_GEOM = 1e-9
 EPS_AREA = 1e-6
 
 
+def _next(v: np.ndarray) -> np.ndarray:
+    """Each vertex's successor around the ring: np.roll(v, -1, axis=0)
+    without its fixed per-call cost."""
+    return np.concatenate((v[1:], v[:1]))
+
+
 def polygon_area(vertices: np.ndarray) -> float:
     """Unsigned shoelace area."""
     v = np.asarray(vertices, dtype=np.float64)
-    x, y = v[:, 0], v[:, 1]
-    return abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    vn = _next(v)
+    x, y, xn, yn = v[:, 0], v[:, 1], vn[:, 0], vn[:, 1]
+    return abs(0.5 * float(np.sum(x * yn - xn * y)))
 
 
 def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
     """Signed shoelace area and area-weighted centroid from one set of cross
     products; a clockwise ring has negative area and the same centroid."""
     v = np.asarray(vertices, dtype=np.float64)
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    vn = _next(v)
+    x, y, xn, yn = v[:, 0], v[:, 1], vn[:, 0], vn[:, 1]
     cross = x * yn - xn * y
     a = 0.5 * float(np.sum(cross))
     if abs(a) <= EPS_AREA:
@@ -96,6 +103,12 @@ def _split(
     )
 
 
+def _edge_sides(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d[k, i], `_split`'s d for vertex i of a against edge k of b."""
+    e = _next(b) - b
+    return e[:, :1] * (a[:, 1] - b[:, 1:]) - e[:, 1:] * (a[:, 0] - b[:, :1])
+
+
 def convex_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Clip a against every edge of b; exact for convex inputs.
 
@@ -108,10 +121,7 @@ def convex_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """
     result: np.ndarray | None = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
-    # d[k, i] is `_split`'s d for vertex i of a against edge k of b.
-    e = np.roll(bv, -1, axis=0) - bv
-    d = e[:, :1] * (result[:, 1] - bv[:, 1:]) - e[:, 1:] * (result[:, 0] - bv[:, :1])
-    if (d < -EPS_GEOM).all(axis=1).any():
+    if (_edge_sides(result, bv) < -EPS_GEOM).all(axis=1).any():
         return None
     for k in range(len(bv)):
         result = _split(result, bv[k], bv[(k + 1) % len(bv)])[0]

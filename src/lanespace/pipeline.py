@@ -281,11 +281,13 @@ def socket_source(conn: socket.socket) -> Iterator[SourceFrame | SourceFailure]:
             return
         last_id = msg.frame_id
         try:
-            mask = msg.payload.to_mask()
+            item = SourceFrame(msg.frame_id, msg.payload.road_class, msg.payload.to_mask())
         except ValueError as e:
-            yield SourceFailure(f"frame {msg.frame_id}: {e}")
-            continue
-        yield SourceFrame(msg.frame_id, msg.payload.road_class, mask)
+            item = SourceFailure(f"frame {msg.frame_id}: {e}")
+        # Hold nothing of this frame while the next one is read.
+        del msg
+        yield item
+        del item
 
 
 class DirSink:
@@ -421,6 +423,7 @@ def run_pipeline(
             latencies.append((t_done - t_in) * 1000.0)
             services.append((t_done - t_got) * 1000.0)
             stats.frames_processed += 1
+        del item  # the next frame is read without this one alive
         t_in = time.perf_counter()
 
     stats.elapsed_s = time.perf_counter() - t_start
@@ -448,6 +451,7 @@ def serve(
     cfg: PipelineConfig | None = None,
     extra_sink=None,
     bound_callback: Callable[[int], None] | None = None,
+    open_sink: Callable[[], Any] | None = None,
 ) -> PipelineStats:
     """Answer one region frame per mask frame on a single accepted connection.
 
@@ -455,21 +459,28 @@ def serve(
     that sends nothing for IDLE_TIMEOUT_S (30 s) while a frame is awaited,
     closes the connection and is counted in stats.errors. The same timeout
     bounds each reply's send, whose expiry ends the run with TimeoutError.
+
+    Every document also goes to extra_sink, and to the sink open_sink makes
+    once the address is bound, so that an address that cannot be bound
+    leaves nothing behind; serve closes that sink however it returns.
     """
     with socket.create_server(parse_address(address)) as server:
         if bound_callback is not None:
             bound_callback(server.getsockname()[1])
-        conn, _ = server.accept()
-        with conn:
-            # Without this, Nagle's algorithm holds each small reply until the
-            # previous one is ACKed, and the client delays that ACK until it
-            # sends its next mask: replies arrive one frame period late.
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(IDLE_TIMEOUT_S)
-            sink = WireSink(conn)
-            if extra_sink is not None:
-                sink = TeeSink(sink, extra_sink)
-            return run_pipeline(socket_source(conn), sink, cfg)
+        opened = open_sink() if open_sink is not None else None
+        try:
+            conn, _ = server.accept()
+            with conn:
+                # Without this, Nagle's algorithm holds each small reply until the
+                # previous one is ACKed, and the client delays that ACK until it
+                # sends its next mask: replies arrive one frame period late.
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn.settimeout(IDLE_TIMEOUT_S)
+                extras = [s for s in (extra_sink, opened) if s is not None]
+                return run_pipeline(socket_source(conn), TeeSink(WireSink(conn), *extras), cfg)
+        finally:
+            if opened is not None:
+                opened.close()
 
 
 class PipelineClient:

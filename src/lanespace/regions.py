@@ -9,7 +9,7 @@ from typing import Any
 import numpy as np
 
 from .clustering import ClusterParams, Spans, check_integer, dbscan_lattice
-from .core import ClassId, RoadClass, SegmentationMask, downsample, road_class_name
+from .core import ClassId, RoadClass, SegmentationMask, road_class_name
 from .geometry import (
     EPS_AREA,
     convex_intersection,
@@ -131,30 +131,24 @@ def _largest(regions: Iterable[DrivableRegion], lane: str) -> DrivableRegion | N
     return None if best is None else best.relabeled(lane)
 
 
-def _convex_chains(
-    chain: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chain points, as (chain, x, y), that stay after pruning to the
-    convex side.
+def _convex_chains(ring: np.ndarray) -> np.ndarray:
+    """The columns of ring, whose rows are (chain, x, y), that stay after
+    pruning each chain to its convex side.
 
     Each chain is a contiguous run of equal `chain` ids, laid out in the order
     of a ring with positive shoelace area. A point stays when the cross
-    product of (m - a) and (b - a) is positive, m being the point and a, b
+    product of (m - a) and (b - m) is positive, m being the point and a, b
     its neighbours in its chain; a chain's first and last point always stay.
     Passes repeat until one removes nothing. The arithmetic is exact on int64
     coordinates.
     """
     while True:
-        ya, ym, yb = y[:-2], y[1:-1], y[2:]
-        # Chains are contiguous, so equal ends mean the middle shares them.
-        flat = (chain[:-2] == chain[2:]) & (
-            x[1:-1] * (yb - ya) <= x[:-2] * (yb - ym) + x[2:] * (ym - ya)
-        )
-        if not flat.any():
-            return chain, x, y
-        stay = np.ones(len(x), dtype=bool)
-        stay[1:-1] = ~flat
-        chain, x, y = chain[stay], x[stay], y[stay]
+        dc, dx, dy = ring[:, 1:] - ring[:, :-1]
+        # A step either side that changes chain marks a chain's end.
+        stay = np.logical_or(dx[:-1] * dy[1:] > dy[:-1] * dx[1:], dc[:-1] | dc[1:])
+        if stay.all():
+            return ring
+        ring = ring[:, np.concatenate(([True], stay, [True]))]
 
 
 def _cluster_hulls(
@@ -208,13 +202,11 @@ def _cluster_hulls(
     lo = hi - n_rows[cluster]
     g = np.arange(len(row))
     slots = np.concatenate([lo + g, 2 * hi + lo - 1 - g])
-    ring_x = np.empty(2 * len(row), dtype=np.int64)
-    ring_y = np.empty_like(ring_x)
-    chain = np.empty_like(ring_x)
-    ring_x[slots] = np.concatenate([last[order[bounds[1:] - 1]], first[order[bounds[:-1]]]])
-    ring_y[slots] = np.tile(row_y, 2)
-    chain[slots] = np.concatenate([2 * cluster, 2 * cluster + 1])
-    chain, x, y = _convex_chains(chain, ring_x, ring_y)
+    ring = np.empty((3, 2 * len(row)), dtype=np.int64)
+    ring[0, slots] = np.concatenate([2 * cluster, 2 * cluster + 1])
+    ring[1, slots] = np.concatenate([last[order[bounds[1:] - 1]], first[order[bounds[:-1]]]])
+    ring[2, slots] = np.concatenate([row_y, row_y])
+    chain, x, y = _convex_chains(ring)
     cluster = chain // 2
     # Drop the repeats where the chains meet: a bottom row of one pixel ends
     # the right chain and starts the left one, a top row of one pixel ends
@@ -240,9 +232,12 @@ def _cluster_hulls(
     shift = at + begin[cluster] - 2 * start[cluster]
     source = start[cluster] + np.where(shift >= size[cluster], shift - size[cluster], shift)
     points = np.column_stack([x[source], y[source]]).astype(np.float64)
-    hulls: list[np.ndarray | None] = np.split(points, start[1:])
-    for i in np.flatnonzero((size < 3) | (area <= EPS_AREA)).tolist():
-        hulls[i] = None
+    hulls = [
+        None if bad else points[a:b]
+        for a, b, bad in zip(
+            start.tolist(), end.tolist(), ((size < 3) | (area <= EPS_AREA)).tolist()
+        )
+    ]
     return owner, hulls, area
 
 
@@ -254,18 +249,21 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
     """Full pipeline from mask to disjoint, side-attributed lane regions.
 
     Both classes are clustered on the downsampled pixel grid in one
-    `dbscan_lattice` call, ego first. Each cluster comes out as row spans, and
-    the hulls of all clusters of the frame are built in one pass from the
-    leftmost and rightmost span end of every row each occupies.
+    `dbscan_lattice` call, ego first: it gets the stride sample of
+    `downsample` as a view of the mask, whose codes were checked when it was
+    built, and the two class codes, so no per-class grid is copied out. Each
+    cluster comes out as row spans, and the hulls of all clusters of the
+    frame are built in one pass from the leftmost and rightmost span end of
+    every row each occupies.
     """
     cfg = cfg or ExtractionConfig()
     factor = cfg.downsample_factor
-    small = downsample(mask, factor)
+    small = mask.data[::factor, ::factor]
     # min_region_area is stated at full resolution; hulls live on the
     # downsampled grid until the final scaling step.
     min_area_small = cfg.min_region_area / float(factor * factor)
     owner, hulls, areas = _cluster_hulls(
-        dbscan_lattice(small.data == _CODES[:, None, None], cfg.cluster), small.height
+        dbscan_lattice(small, cfg.cluster, _CODES), len(small)
     )
     ordered = [
         (_CLASSES[i], [hull])
@@ -293,9 +291,9 @@ def _region_entry(region: DrivableRegion) -> dict[str, Any]:
     return {
         "lane": region.lane,
         "area": _round6(region.area),
-        "centroid": [_round6(region.centroid[0]), _round6(region.centroid[1])],
+        "centroid": [_round6(c) for c in region.centroid.tolist()],
         "pieces": [
-            [[_round6(x), _round6(y)] for x, y in piece] for piece in region.pieces
+            [[_round6(x), _round6(y)] for x, y in piece.tolist()] for piece in region.pieces
         ],
     }
 

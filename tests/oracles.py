@@ -14,6 +14,9 @@ row-major order.
 them. `convex_hull` is Andrew's monotone chain over any points,
 `clip_intersection` is `convex_intersection` without its separating-edge test,
 and `is_convex_ccw` and `point_in_convex` check the polygons the package makes.
+`roll_area`, `roll_moments` and `roll_edge_sides` are the shoelace measures
+and the separating-edge matrix in their first `np.roll` form, which the
+package's must equal bit for bit.
 """
 from __future__ import annotations
 
@@ -225,3 +228,29 @@ def stack_spans(grids: list[Spans], height: int) -> Spans:
         np.concatenate([s.first for s in grids]),
         np.concatenate([s.last for s in grids]),
     )
+
+
+def roll_area(vertices: np.ndarray) -> float:
+    """`polygon_area` with np.roll for each next vertex."""
+    v = np.asarray(vertices, dtype=np.float64)
+    x, y = v[:, 0], v[:, 1]
+    return abs(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+
+def roll_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
+    """`polygon_moments` with np.roll for each next vertex."""
+    v = np.asarray(vertices, dtype=np.float64)
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a = 0.5 * float(np.sum(cross))
+    cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
+    cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
+    return a, np.array([cx, cy])
+
+
+def roll_edge_sides(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`convex_intersection`'s separating-edge matrix with np.roll for each
+    edge of b."""
+    e = np.roll(b, -1, axis=0) - b
+    return e[:, :1] * (a[:, 1] - b[:, 1:]) - e[:, 1:] * (a[:, 0] - b[:, :1])

@@ -14,9 +14,9 @@ import pytest
 
 from lanespace import __version__, cli
 from lanespace.cli import main
-from lanespace.core import ClassId, SegmentationMask
+from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.netpbm import write_mask
-from lanespace.pipeline import PipelineStats, make_source
+from lanespace.pipeline import PipelineClient, make_source
 from test_pipeline import stalled_frame_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -189,8 +189,8 @@ def test_run_serving_a_peer_that_closes_mid_frame_exits_1(tmp_path, monkeypatch,
     ports = queue.Queue()
     real_serve = cli.serve
 
-    def serve_telling_its_port(address, cfg, extra_sink=None):
-        return real_serve(address, cfg, extra_sink=extra_sink, bound_callback=ports.put)
+    def serve_telling_its_port(address, cfg, **kwargs):
+        return real_serve(address, cfg, bound_callback=ports.put, **kwargs)
 
     monkeypatch.setattr(cli, "serve", serve_telling_its_port)
     stats_file = tmp_path / "stats.json"
@@ -379,23 +379,46 @@ class RecordingSink:
         self.closed = True
 
 
-@pytest.mark.parametrize("serve_fails", [False, True])
-def test_run_closes_the_sink_of_a_served_pipeline(monkeypatch, capsys, serve_fails):
+@pytest.mark.parametrize("sink_fails", [False, True])
+def test_run_closes_the_sink_of_a_served_pipeline(monkeypatch, sink_fails):
     sink = RecordingSink()
-    served = []
+    if sink_fails:
+        def refuse(frame_id, document):
+            raise OSError("disk full")
 
-    def fake_serve(address, cfg, extra_sink=None):
-        served.append((address, extra_sink))
-        if serve_fails:
-            raise OSError("connection reset")
-        return PipelineStats()
-
+        sink.deliver = refuse
+    ports = queue.Queue()
+    real_serve = cli.serve
     monkeypatch.setattr(cli, "make_sink", lambda spec: sink)
-    monkeypatch.setattr(cli, "serve", fake_serve)
-    code = main(["run", "--source", "tcp:127.0.0.1:0", "--sink", "tcp:127.0.0.1:9"])
-    assert code == (2 if serve_fails else 0)
-    assert served == [("127.0.0.1:0", sink)]
+
+    def serve_telling_its_port(address, cfg, **kwargs):
+        return real_serve(address, cfg, bound_callback=ports.put, **kwargs)
+
+    monkeypatch.setattr(cli, "serve", serve_telling_its_port)
+    codes = []
+    argv = ["run", "--source", "tcp:127.0.0.1:0", "--sink", "tcp:127.0.0.1:9"]
+    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    runner.start()
+    client = PipelineClient(f"127.0.0.1:{ports.get(timeout=10.0)}", timeout=10.0)
+    try:
+        client.send_mask(0, SegmentationMask(np.ones((32, 32), dtype=np.uint8)), RoadClass.HIGHWAY)
+        client.finish_sending()
+        runner.join(10.0)
+    finally:
+        client.close()
+    assert not runner.is_alive()
+    assert codes == [2 if sink_fails else 0]
     assert sink.closed
+
+
+def test_run_serving_on_a_taken_port_leaves_no_sink_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        code = main(["run", "--source", f"tcp:127.0.0.1:{port}", "--sink", f"dir:{out}"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("size", ["0x0", "2x2", "-5x10"])

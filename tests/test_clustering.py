@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanespace.clustering import NOISE, ClusterParams, dbscan_lattice
+from lanespace.clustering import NOISE, ClusterParams, _sparse_flatnonzero, dbscan_lattice
 from lanespace.core import ClassId, downsample
 from lanespace.scenes import generate, sample_spec
 from oracles import dbscan, dbscan_bruteforce, oracle_labels, stack_spans
@@ -239,6 +239,42 @@ def test_a_stack_of_one_is_the_grid():
     assert len(want.label) > 0
     got = dbscan_lattice(member[None], ClusterParams())
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def class_grids():
+    """Blocks of 8x8 pixels with a tenth of the pixels redrawn, and noisy
+    generated scenes: class-code grids of every code in 0..2."""
+    rng = np.random.default_rng(24)
+    grids = []
+    for _ in range(4):
+        grid = np.kron(rng.choice(3, size=(12, 16)), np.ones((8, 8), dtype=np.int64))
+        noisy = rng.random(grid.shape) < 0.1
+        grid[noisy] = rng.choice(3, size=int(noisy.sum()))
+        grids.append(grid.astype(np.uint8))
+    grids += [generate(sample_spec(seed, noise_rate=0.01))[0].data for seed in range(3)]
+    return grids
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4])
+@pytest.mark.parametrize("eps", [1.5, 2.5])
+def test_class_codes_give_the_spans_of_their_bool_stack(factor, eps):
+    params = ClusterParams(eps=eps)
+    for data in class_grids():
+        grid = data[::factor, ::factor]  # a strided view, as extract_regions passes it
+        for codes in ([1, 2], [2, 1], [1]):
+            codes = np.array(codes, dtype=np.uint8)
+            want = dbscan_lattice(grid == codes[:, None, None], params)
+            got = dbscan_lattice(grid, params, codes)
+            assert len(want.label) > 0
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("size", [0, 13, 1 << 16, (1 << 16) + 5, 616_323])
+def test_sparse_flatnonzero_is_flatnonzero(size):
+    rng = np.random.default_rng(size)
+    for density in (0.0, 0.001, 0.3, 1.0):
+        a = rng.random(size) < density
+        assert np.array_equal(_sparse_flatnonzero(a), np.flatnonzero(a))
 
 
 def test_lattice_border_pixel_takes_the_lowest_adjacent_cluster():

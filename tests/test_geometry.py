@@ -17,7 +17,15 @@ from lanespace.geometry import (
     rasterize_pieces,
 )
 from lanespace.regions import LANE_EGO, DrivableRegion
-from oracles import clip_intersection, convex_hull, is_convex_ccw, point_in_convex
+from oracles import (
+    clip_intersection,
+    convex_hull,
+    is_convex_ccw,
+    point_in_convex,
+    roll_area,
+    roll_edge_sides,
+    roll_moments,
+)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -136,6 +144,31 @@ def test_hull_orientation_is_positive():
 
 
 # --- area and centroid ------------------------------------------------------
+
+
+@st.composite
+def convex_rings(draw):
+    """Hulls of random points, of pixel coordinates or not, scaled and shifted
+    as pieces are, in either orientation."""
+    pts = draw(finite_points)
+    if draw(st.booleans()):
+        pts = np.floor(pts)
+    pts = pts * draw(st.sampled_from([1.0, 4.0, 0.1, 1e3])) + draw(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    )
+    hull = convex_hull(pts)
+    assume(hull is not None)
+    return hull[::-1] if draw(st.booleans()) else hull
+
+
+@given(convex_rings(), convex_rings())
+def test_measures_and_edge_sides_equal_their_roll_forms_bit_for_bit(a, b):
+    assert polygon_area(a).hex() == roll_area(a).hex()
+    area, centroid = polygon_moments(a)
+    want_area, want_centroid = roll_moments(a)
+    assert area.hex() == want_area.hex()
+    assert centroid.tobytes() == want_centroid.tobytes()
+    assert geometry._edge_sides(a, b).tobytes() == roll_edge_sides(a, b).tobytes()
 
 
 def test_area_examples():

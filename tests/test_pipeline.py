@@ -4,6 +4,7 @@ import json
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,36 @@ def test_loopback_answers_match_in_process_results():
     assert answers == expected
     assert result["stats"].frames_processed == 4
     assert result["stats"].errors == 0
+
+
+def test_a_served_frame_is_let_go_before_the_next_is_read():
+    # Reading a frame holds its received chunks and their join, two frames'
+    # bytes; extracting one at downsample 4 needs about one more frame's worth.
+    # A reference to the previous frame kept across the next read, by the
+    # source or the loop, would add a third frame to the traced peak.
+    frames = [
+        encode_frame(mask_frame(i, generate(sample_spec(i, noise_rate=0.01))[0], RoadClass.HIGHWAY))
+        for i in range(4)
+    ]
+    thread, port, result = start_server()
+    client = PipelineClient(f"127.0.0.1:{port}")
+    try:
+        client.conn.sendall(frames[0])  # untraced: allocations made once, on first use
+        assert client.recv_regions() is not None
+        tracemalloc.start()
+        try:
+            for frame in frames[1:]:
+                client.conn.sendall(frame)
+                assert client.recv_regions() is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        client.finish_sending()
+        thread.join(10.0)
+    finally:
+        client.close()
+    assert result["stats"].frames_processed == 4
+    assert peak < 2.5 * len(frames[0])
 
 
 def test_malformed_wire_frame_closes_the_connection():

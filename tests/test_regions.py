@@ -221,6 +221,29 @@ def frame_document(mask):
     return document_bytes(build_document(3, RoadClass.HIGHWAY, rs, advice.as_dict()))
 
 
+@pytest.mark.parametrize("factor", [1, 2, 4])
+def test_regions_of_the_strided_sample_equal_those_of_a_downsampled_copy(monkeypatch, factor):
+    # extract_regions hands dbscan_lattice a strided view of the mask and the
+    # class codes; clustering the bool stack of a downsampled copy instead
+    # must give the same document.
+    cfg = ExtractionConfig(downsample_factor=factor)
+    lattice = regions.dbscan_lattice
+    for mask in sample_masks():
+        rs = extract_regions(mask, cfg)
+        want = document_bytes(build_document(0, RoadClass.HIGHWAY, rs, {}))
+
+        def via_a_copy(grid, params, codes):
+            copy = downsample(mask, factor).data
+            assert np.array_equal(grid, copy)
+            return lattice(copy == codes[:, None, None], params)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(regions, "dbscan_lattice", via_a_copy)
+            rs = extract_regions(mask, cfg)
+        assert rs.ego is not None or rs.left is not None or rs.unassigned
+        assert document_bytes(build_document(0, RoadClass.HIGHWAY, rs, {})) == want
+
+
 @pytest.mark.parametrize("eps", [1.5, 2.5, 3.0])
 def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster(eps):
     cfg = ExtractionConfig(cluster=ClusterParams(eps=eps))

@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -20,6 +21,7 @@ from .metrics import ConfusionCounts, accuracy, confusion, iou, miou
 from .netpbm import read_mask, write_mask, write_rgb
 from .pipeline import (
     PipelineConfig,
+    PipelineStats,
     SourceFrame,
     frame_document,
     make_sink,
@@ -100,21 +102,36 @@ def cmd_process(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+def _stream(args, cfg: PipelineConfig) -> PipelineStats:
     if args.source.startswith("tcp:"):
         # serve makes the sink once it has bound the address, so an address
         # that is bad or taken leaves no sink directory behind.
         address = args.source[len("tcp:") :]
-        stats = serve(address, cfg, open_sink=lambda: make_sink(args.sink))
-    else:
-        # A bad source fails here, before the sink makes its directory.
-        source = make_source(args.source, args.seed)
-        sink = make_sink(args.sink)
-        try:
-            stats = run_pipeline(source, sink, cfg)
-        finally:
-            sink.close()
+        return serve(address, cfg, open_sink=lambda: make_sink(args.sink))
+    # A bad source fails here, before the sink makes its directory.
+    source = make_source(args.source, args.seed)
+    sink = make_sink(args.sink)
+    try:
+        return run_pipeline(source, sink, cfg)
+    finally:
+        sink.close()
+
+
+def cmd_run(args) -> int:
+    cfg = _load_config(args.config)
+    made = False
+    if args.stats is not None:
+        # Open the report file before the sink is made or a frame is read, so
+        # a path that cannot be written fails at once. Appending changes no
+        # file that is there; one made here goes again if the run raises.
+        made = not os.path.lexists(args.stats)
+        open(args.stats, "a").close()
+    try:
+        stats = _stream(args, cfg)
+    except BaseException:
+        if made:
+            os.unlink(args.stats)
+        raise
     report = _report(
         seed=args.seed,
         config=dataclasses.asdict(cfg),
@@ -219,6 +236,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
+    check_integer("--cases", args.cases, 1)
     result = check_gradients(cases=args.cases, seed=args.seed)
     worst = max(result["max_rel_error"].values())
     report = _report(

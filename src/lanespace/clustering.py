@@ -1,4 +1,4 @@
-"""DBSCAN of the pixels of a boolean grid, for any eps.
+"""DBSCAN of the pixels of each class code of a grid, for any eps.
 
 On a pixel grid every pixel's eps-neighbourhood is one fixed stencil: the
 offsets (dx, dy) with dx^2 + dy^2 <= eps^2. `dbscan_lattice` counts class
@@ -16,6 +16,7 @@ are relabeled to noise with the survivors renumbered contiguously from 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -110,28 +111,21 @@ def _runs_meeting(
 
 
 def dbscan_lattice(
-    grid: np.ndarray, params: ClusterParams, codes: np.ndarray | None = None
+    grid: np.ndarray, params: ClusterParams, codes: Sequence[Any] | np.ndarray
 ) -> Spans:
-    """DBSCAN of the True pixels of a boolean grid, or of each grid of a
-    (k, H, W) stack, as row spans.
+    """DBSCAN of the pixels of each code of a 2-D grid, as row spans.
 
-    With `codes`, grid is one 2-D grid of class codes and stands for the
-    stack `grid == codes[:, None, None]`, which is never built: each code's
-    membership is written straight into the padded array the clustering
-    reads. The spans cover exactly the clustered pixels, each with the label
-    that sequential DBSCAN gives it over the pixels' (x, y) coordinates in
-    row-major order. The grids of a stack are clustered apart: labels count
-    up grid by grid, and row r of grid g is row g * H + r of the spans.
+    Code g stands for the grid `grid == codes[g]`, a stack that is never
+    built: each code's membership is written straight into the padded array
+    the clustering reads, so a boolean grid is clustered with codes (True,).
+    The spans cover exactly the clustered pixels, each with the label that
+    sequential DBSCAN gives it over the pixels' (x, y) coordinates in
+    row-major order. The codes are clustered apart: labels count up code by
+    code, and row r of code g's grid is row g * H + r of the spans.
     """
-    if codes is None:
-        member = np.asarray(grid, dtype=bool)
-        if member.ndim == 2:
-            member = member[None]
-        grids, (height, width) = len(member), member.shape[1:]
-    else:
-        # A strided sample compares faster once made contiguous.
-        member = np.ascontiguousarray(grid)
-        grids, (height, width) = len(codes), member.shape
+    # A strided sample compares faster once made contiguous.
+    grid = np.ascontiguousarray(grid)
+    grids, (height, width) = len(codes), grid.shape
     # The stencil: hw[dy] for dy = 0..R is the largest dx with
     # dx^2 + dy^2 <= eps^2 in float64, as distances are compared. The squares
     # are exact integers there, so that is dx^2 + dy^2 <= floor(eps^2). R and
@@ -151,10 +145,7 @@ def dbscan_lattice(
     w = width + 1 + max(half_widths[0], 1)
     padded = np.zeros((grids, height * w), dtype=bool)
     inner = padded.reshape(grids, height, w)[:, :, 1 : width + 1]
-    if codes is None:
-        inner[...] = member
-    else:
-        np.equal(member, np.asarray(codes)[:, None, None], out=inner)
+    np.equal(grid, np.asarray(codes)[:, None, None], out=inner)
     # Core: the stencil holds at least min_pts members, the pixel included.
     # Its rows are summed from one horizontal window sum, widened to row 0's
     # half-width and then narrowed row by row outward, within each grid.

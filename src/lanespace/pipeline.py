@@ -37,8 +37,8 @@ HEADER_SIZE = _HEADER.size
 _MAX_PAYLOAD = 1 << 26
 _RECV_CHUNK = 1 << 16  # at most this much per recv, so memory follows the bytes that arrive
 # Seconds a served connection waits for the peer's next bytes (then its stream
-# ends in one SourceFailure) or to send a reply (then the run raises
-# TimeoutError); also the PipelineClient and tcp: sink socket timeout.
+# ends in one SourceFailure) or to send a reply (then the run ends in one sink
+# failure); also the PipelineClient and tcp: sink socket timeout.
 IDLE_TIMEOUT_S = 30.0
 
 
@@ -404,8 +404,11 @@ def run_pipeline(
     the sink has taken the previous one. A frame's latency runs from that
     request to the sink's return; its service time runs from the source's
     return to the sink's return, so it leaves out the wait for input (on
-    `serve`, the wait for the client's next mask). Exceptions from the
-    source, extraction or the sink end the run unchanged.
+    `serve`, the wait for the client's next mask). A sink that raises
+    OSError, such as a peer that closed or a send that timed out, fails the
+    frame with the reason `sink: <error>` and ends the run, which returns
+    its stats. Other exceptions from the sink, and any from the source or
+    extraction, end the run unchanged.
     """
     cfg = cfg or PipelineConfig()
     stats = PipelineStats()
@@ -418,7 +421,11 @@ def run_pipeline(
             stats.failures.append(item.reason)
         else:
             _, document = frame_document(item, cfg.extraction)
-            sink.deliver(item.frame_id, document)
+            try:
+                sink.deliver(item.frame_id, document)
+            except OSError as e:
+                stats.failures.append(f"sink: {e}")
+                break
             t_done = time.perf_counter()
             latencies.append((t_done - t_in) * 1000.0)
             services.append((t_done - t_got) * 1000.0)
@@ -458,7 +465,9 @@ def serve(
     Returns when the client closes the stream. A malformed frame, or a peer
     that sends nothing for IDLE_TIMEOUT_S (30 s) while a frame is awaited,
     closes the connection and is counted in stats.errors. The same timeout
-    bounds each reply's send, whose expiry ends the run with TimeoutError.
+    bounds each reply's send: a reply that cannot be sent in time, or a
+    sink that fails, ends the run as one failure in stats.errors, whose
+    reason starts with "sink: ".
 
     Every document also goes to extra_sink, and to the sink open_sink makes
     once the address is bound, so that an address that cannot be bound

@@ -156,8 +156,8 @@ def _cluster_hulls(
 ) -> tuple[np.ndarray, list[np.ndarray | None], np.ndarray]:
     """The convex hull of every cluster of a frame, all classes in one pass.
 
-    `spans` are the clusters of a stack of class grids `height` rows each, as
-    `dbscan_lattice` gives them: labels count up grid by grid, and a span's
+    `spans` are the clusters of a grid's class codes, `height` rows each, as
+    `dbscan_lattice` gives them: labels count up code by code, and a span's
     class index is its row // height. Returns each cluster's class index, its
     hull and the hull's area. A hull is None when it has fewer than 3
     vertices or no area.

@@ -79,7 +79,7 @@ def test_criterion_1_clustering_matches_brute_force():
             )
             # The clustering extract_regions runs, painted per pixel.
             labels = np.full(grid.shape, NOISE, dtype=np.int64)
-            spans = regions.dbscan_lattice(grid == int(ClassId.EGO_LANE), params)
+            spans = regions.dbscan_lattice(grid, params, (int(ClassId.EGO_LANE),))
             for label, y, first, last in zip(*spans):
                 labels[y, first : last + 1] = label
             slow = oracle_labels(grid == 1, params, dbscan_bruteforce)

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanespace import __version__, cli
+from lanespace import __version__, cli, pipeline
 from lanespace.cli import main
 from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.netpbm import write_mask
-from lanespace.pipeline import PipelineClient, make_source
-from test_pipeline import stalled_frame_bytes
+from lanespace.pipeline import PipelineClient, encode_frame, make_source, mask_frame
+from test_pipeline import small_frame, stalled_frame_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -184,8 +184,9 @@ def test_run_refuses_a_bad_address_before_making_the_sink(tmp_path, capsys, sour
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cut", ["inside the header", "after the header", "inside the payload"])
-def test_run_serving_a_peer_that_closes_mid_frame_exits_1(tmp_path, monkeypatch, cut):
+def start_served_run(monkeypatch, argv):
+    """`main(argv)` on a thread, its `serve` telling the port it bound.
+    Returns the thread, the list its exit code goes to, and the port."""
     ports = queue.Queue()
     real_serve = cli.serve
 
@@ -193,12 +194,18 @@ def test_run_serving_a_peer_that_closes_mid_frame_exits_1(tmp_path, monkeypatch,
         return real_serve(address, cfg, bound_callback=ports.put, **kwargs)
 
     monkeypatch.setattr(cli, "serve", serve_telling_its_port)
-    stats_file = tmp_path / "stats.json"
     codes = []
-    argv = ["run", "--source", "tcp:127.0.0.1:0", "--sink", "null", "--stats", str(stats_file)]
     runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
     runner.start()
-    with socket.create_connection(("127.0.0.1", ports.get(timeout=10.0)), timeout=10.0) as conn:
+    return runner, codes, ports.get(timeout=10.0)
+
+
+@pytest.mark.parametrize("cut", ["inside the header", "after the header", "inside the payload"])
+def test_run_serving_a_peer_that_closes_mid_frame_exits_1(tmp_path, monkeypatch, cut):
+    stats_file = tmp_path / "stats.json"
+    argv = ["run", "--source", "tcp:127.0.0.1:0", "--sink", "null", "--stats", str(stats_file)]
+    runner, codes, port = start_served_run(monkeypatch, argv)
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
         conn.sendall(stalled_frame_bytes(cut))
     runner.join(5.0)
     assert not runner.is_alive()
@@ -380,26 +387,18 @@ class RecordingSink:
 
 
 @pytest.mark.parametrize("sink_fails", [False, True])
-def test_run_closes_the_sink_of_a_served_pipeline(monkeypatch, sink_fails):
+def test_run_closes_the_sink_of_a_served_pipeline(tmp_path, monkeypatch, sink_fails):
     sink = RecordingSink()
     if sink_fails:
         def refuse(frame_id, document):
             raise OSError("disk full")
 
         sink.deliver = refuse
-    ports = queue.Queue()
-    real_serve = cli.serve
     monkeypatch.setattr(cli, "make_sink", lambda spec: sink)
-
-    def serve_telling_its_port(address, cfg, **kwargs):
-        return real_serve(address, cfg, bound_callback=ports.put, **kwargs)
-
-    monkeypatch.setattr(cli, "serve", serve_telling_its_port)
-    codes = []
+    stats_file = tmp_path / "stats.json"
     argv = ["run", "--source", "tcp:127.0.0.1:0", "--sink", "tcp:127.0.0.1:9"]
-    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
-    runner.start()
-    client = PipelineClient(f"127.0.0.1:{ports.get(timeout=10.0)}", timeout=10.0)
+    runner, codes, port = start_served_run(monkeypatch, [*argv, "--stats", str(stats_file)])
+    client = PipelineClient(f"127.0.0.1:{port}", timeout=10.0)
     try:
         client.send_mask(0, SegmentationMask(np.ones((32, 32), dtype=np.uint8)), RoadClass.HIGHWAY)
         client.finish_sending()
@@ -407,8 +406,93 @@ def test_run_closes_the_sink_of_a_served_pipeline(monkeypatch, sink_fails):
     finally:
         client.close()
     assert not runner.is_alive()
-    assert codes == [2 if sink_fails else 0]
+    assert codes == [1 if sink_fails else 0]
     assert sink.closed
+    stats = json.loads(stats_file.read_text())["stats"]
+    assert stats["failures"] == (["sink: disk full"] if sink_fails else [])
+
+
+def test_run_serving_a_client_that_stops_reading_exits_1_with_its_report(tmp_path, monkeypatch):
+    # The client sends masks and reads no reply. Its receive buffer and the
+    # server's send buffer are made small so that a few replies fill them;
+    # the next reply's send then times out.
+    monkeypatch.setattr(pipeline, "IDLE_TIMEOUT_S", 0.2)
+
+    class SmallBufferWireSink(pipeline.WireSink):
+        def __init__(self, conn):
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            super().__init__(conn)
+
+    monkeypatch.setattr(pipeline, "WireSink", SmallBufferWireSink)
+    stats_file = tmp_path / "stats.json"
+    argv = ["run", "--source", "tcp:127.0.0.1:0", "--sink", "null", "--stats", str(stats_file)]
+    runner, codes, port = start_served_run(monkeypatch, argv)
+    mask = small_frame(0).mask
+    with socket.socket() as conn:
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # before connecting
+        conn.settimeout(10.0)
+        conn.connect(("127.0.0.1", port))
+        try:
+            for frame_id in range(10_000):
+                if not runner.is_alive():
+                    break
+                conn.sendall(encode_frame(mask_frame(frame_id, mask, RoadClass.HIGHWAY)))
+        except OSError:
+            pass  # the server closed the connection
+        runner.join(10.0)
+    assert not runner.is_alive()
+    assert codes == [1]
+    stats = json.loads(stats_file.read_text())["stats"]
+    assert stats["failures"] == ["sink: timed out"]
+    assert stats["errors"] == 1 and stats["frames_processed"] > 0
+
+
+def test_run_to_a_tcp_sink_whose_peer_closes_exits_1_with_its_report(tmp_path, monkeypatch):
+    real_make_sink = cli.make_sink
+    with socket.create_server(("127.0.0.1", 0)) as server:
+
+        def sink_whose_peer_closes(spec):
+            sink = real_make_sink(spec)
+            peer, _ = server.accept()
+            peer.close()
+            return sink
+
+        monkeypatch.setattr(cli, "make_sink", sink_whose_peer_closes)
+        stats_file = tmp_path / "stats.json"
+        sink = f"tcp:127.0.0.1:{server.getsockname()[1]}"
+        argv = ["run", "--source", "gen:300", "--sink", sink, "--stats", str(stats_file)]
+        assert main(argv) == 1
+    stats = json.loads(stats_file.read_text())["stats"]
+    (reason,) = stats["failures"]
+    assert reason.startswith("sink: [Errno ")
+    assert stats["errors"] == 1 and stats["frames_processed"] < 300
+
+
+def test_run_to_a_dir_sink_that_cannot_write_exits_1_with_its_report(tmp_path):
+    out, stats_file = tmp_path / "out", tmp_path / "stats.json"
+    blocked = out / "000001.json"
+    blocked.mkdir(parents=True)  # frame 1's document cannot be written
+    argv = ["run", "--source", "gen:3x64x64", "--sink", f"dir:{out}", "--stats", str(stats_file)]
+    assert main(argv) == 1
+    stats = json.loads(stats_file.read_text())["stats"]
+    assert stats["failures"] == [f"sink: [Errno 21] Is a directory: '{blocked}'"]
+    assert (stats["frames_processed"], stats["errors"]) == (1, 1)
+    assert sorted(p.name for p in out.iterdir()) == ["000000.json", "000001.json"]
+
+
+def test_run_with_a_report_path_it_cannot_write_makes_no_sink(tmp_path, capsys):
+    out, stats_file = tmp_path / "out", tmp_path / "missing" / "s.json"
+    argv = ["run", "--source", "gen:20x64x64", "--sink", f"dir:{out}", "--stats", str(stats_file)]
+    assert main(argv) == 2
+    assert str(stats_file) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_run_that_raises_leaves_a_report_file_it_found_as_it_was(tmp_path, capsys):
+    stats_file = tmp_path / "s.json"
+    stats_file.write_text("earlier report\n")
+    assert main(["run", "--source", f"dir:{tmp_path}/missing", "--stats", str(stats_file)]) == 2
+    assert stats_file.read_text() == "earlier report\n"
 
 
 def test_run_serving_on_a_taken_port_leaves_no_sink_directory(tmp_path, capsys):
@@ -563,6 +647,16 @@ def test_gen_rejects_a_bad_spec_before_making_the_output_directory(tmp_path, cap
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert captured.out == ""  # no report echoes the bad value
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_loss_check_refuses_fewer_than_one_case(tmp_path, capsys, cases):
+    out = tmp_path / "grad.json"
+    assert main(["loss-check", "--cases", cases, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: --cases must be an integer >= 1, got {cases}"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lanespace.clustering import NOISE, ClusterParams, _sparse_flatnonzero, dbscan_lattice
 from lanespace.core import ClassId, downsample
 from lanespace.scenes import generate, sample_spec
-from oracles import dbscan, dbscan_bruteforce, oracle_labels, stack_spans
+from oracles import dbscan, dbscan_bruteforce, oracle_labels
 
 
 def partition_of(labels: np.ndarray) -> tuple[frozenset, frozenset]:
@@ -167,12 +167,23 @@ LATTICE_EPS = (
 )
 
 
-def lattice_labels(member: np.ndarray, params: ClusterParams) -> np.ndarray:
-    """`dbscan_lattice`'s spans painted into a label image (NOISE elsewhere)."""
-    image = np.full(member.shape, NOISE, dtype=np.int64)
-    for label, y, first, last in zip(*dbscan_lattice(member, params)):
+def lattice_labels(grid: np.ndarray, params: ClusterParams, codes=(True,)) -> np.ndarray:
+    """`dbscan_lattice`'s spans painted into a label image (NOISE elsewhere),
+    code g's grid as rows g * H to g * H + H - 1; a boolean grid by default."""
+    image = np.full((len(codes) * len(grid), grid.shape[1]), NOISE, dtype=np.int64)
+    for label, y, first, last in zip(*dbscan_lattice(grid, params, codes)):
         image[y, first : last + 1] = label
     return image
+
+
+def stack_labels(images: list[np.ndarray]) -> np.ndarray:
+    """Label images of separate grids laid out as `lattice_labels` lays out
+    their codes: each grid's labels offset by the clusters of those before it."""
+    stacked, offset = [], 0
+    for image in images:
+        stacked.append(np.where(image == NOISE, NOISE, image + offset))
+        offset += int(image.max()) + 1
+    return np.concatenate(stacked)
 
 
 @st.composite
@@ -199,46 +210,30 @@ def test_lattice_labels_equal_grid_labels(case):
     assert np.array_equal(lattice_labels(member, params), oracle_labels(member, params))
 
 
-def in_raster_order(spans):
-    """Spans sorted by label, row and first pixel, which is unique."""
-    order = np.lexsort((spans.first, spans.y, spans.label))
-    return [field[order] for field in spans]
-
-
 @st.composite
 def stacked_cases(draw):
     h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grids = rng.random((2, h, w)) < draw(st.floats(0.05, 0.95))
+    member = rng.random((h, w)) < draw(st.floats(0.05, 0.95))
+    grid = np.where(member, rng.integers(1, 3, size=(h, w)), 0).astype(np.uint8)
     if draw(st.booleans()):
-        # Clusters along the last row of grid 0 and the first row of grid 1,
-        # which one stencil would join were the grids not kept apart.
-        grids[0, -1, :] = True
-        grids[1, 0, :] = True
+        # Clusters along the last row of code 1 and the first row of code 2,
+        # which one stencil would join were the codes' grids not kept apart.
+        grid[-1, :] = 1
+        grid[0, :] = 2
     params = ClusterParams(
         eps=draw(st.sampled_from((0.5, 1.5, 2.5, 3.0))),
         min_pts=draw(st.integers(1, 9)),
         min_cluster_size=draw(st.integers(3, 12)),
     )
-    return grids, params
+    return grid, params
 
 
 @given(stacked_cases())
 def test_a_stack_of_two_grids_gives_the_spans_of_two_calls(case):
-    grids, params = case
-    apart = stack_spans([dbscan_lattice(g, params) for g in grids], grids.shape[1])
-    stacked = dbscan_lattice(grids, params)
-    for got, want in zip(in_raster_order(stacked), in_raster_order(apart)):
-        assert np.array_equal(got, want)
-
-
-def test_a_stack_of_one_is_the_grid():
-    mask = downsample(generate(sample_spec(5, noise_rate=0.01))[0], 4)
-    member = mask.data == int(ClassId.OTHER_LANES)
-    want = dbscan_lattice(member, ClusterParams())
-    assert len(want.label) > 0
-    got = dbscan_lattice(member[None], ClusterParams())
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    grid, params = case
+    want = stack_labels([oracle_labels(grid == code, params) for code in (1, 2)])
+    assert np.array_equal(lattice_labels(grid, params, (1, 2)), want)
 
 
 def class_grids():
@@ -261,12 +256,11 @@ def test_class_codes_give_the_spans_of_their_bool_stack(factor, eps):
     params = ClusterParams(eps=eps)
     for data in class_grids():
         grid = data[::factor, ::factor]  # a strided view, as extract_regions passes it
+        oracle = {code: oracle_labels(grid == code, params) for code in (1, 2)}
         for codes in ([1, 2], [2, 1], [1]):
-            codes = np.array(codes, dtype=np.uint8)
-            want = dbscan_lattice(grid == codes[:, None, None], params)
-            got = dbscan_lattice(grid, params, codes)
-            assert len(want.label) > 0
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            got = lattice_labels(grid, params, np.array(codes, dtype=np.uint8))
+            assert (got != NOISE).any()
+            assert np.array_equal(got, stack_labels([oracle[code] for code in codes]))
 
 
 @pytest.mark.parametrize("size", [0, 13, 1 << 16, (1 << 16) + 5, 616_323])
@@ -302,16 +296,15 @@ def test_lattice_huge_eps_gives_the_spans_of_the_grid_diagonal(factor):
     mask = downsample(generate(sample_spec(3, noise_rate=0.01))[0], factor)
     diagonal = math.hypot(mask.height - 1, mask.width - 1)
     for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES):
-        member = mask.data == int(cls)
-        want = dbscan_lattice(member, ClusterParams(eps=diagonal))
+        want = dbscan_lattice(mask.data, ClusterParams(eps=diagonal), (int(cls),))
         assert len(want.label) > 0
         for eps in (1e9, math.inf):
-            got = dbscan_lattice(member, ClusterParams(eps=eps))
+            got = dbscan_lattice(mask.data, ClusterParams(eps=eps), (int(cls),))
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_lattice_of_an_empty_grid_is_all_noise():
-    spans = dbscan_lattice(np.zeros((4, 5), dtype=bool), ClusterParams())
+    spans = dbscan_lattice(np.zeros((4, 5), dtype=bool), ClusterParams(), (True,))
     assert all(len(field) == 0 for field in spans)
 
 
@@ -319,9 +312,9 @@ def test_lattice_below_eps_1_gives_no_cluster():
     # Below 1 the stencil is the pixel alone, even where every pixel is core.
     full = np.ones((5, 6), dtype=bool)
     for eps in (0.5, math.nextafter(1.0, 0.0)):
-        spans = dbscan_lattice(full, ClusterParams(eps=eps, min_pts=1, min_cluster_size=3))
+        spans = dbscan_lattice(full, ClusterParams(eps=eps, min_pts=1, min_cluster_size=3), (True,))
         assert all(len(field) == 0 for field in spans)
-    one = dbscan_lattice(full, ClusterParams(eps=1.0, min_pts=1, min_cluster_size=3))
+    one = dbscan_lattice(full, ClusterParams(eps=1.0, min_pts=1, min_cluster_size=3), (True,))
     assert set(one.label.tolist()) == {0}
 
 

@@ -149,19 +149,26 @@ def test_a_raising_sink_stops_the_source_thread():
             super().deliver(frame_id, document)
 
     before = set(threading.enumerate())
-    raised = []
+    read, sink, result = [], BrokenSink(), []
 
-    def run():
-        try:
-            run_pipeline((small_frame(i) for i in range(50)), BrokenSink(), FAST_CFG)
-        except OSError as e:
-            raised.append(e)
+    def frames():
+        for i in range(50):
+            read.append(i)
+            yield small_frame(i)
 
-    runner = threading.Thread(target=run, daemon=True)
+    runner = threading.Thread(
+        target=lambda: result.append(run_pipeline(frames(), sink, FAST_CFG)), daemon=True
+    )
     runner.start()
     runner.join(10.0)
     assert not runner.is_alive()
-    assert [str(e) for e in raised] == ["disk full"]
+    # The failed delivery is one failure with its reason, and no frame is
+    # read after it.
+    (stats,) = result
+    assert (stats.frames_processed, stats.errors) == (1, 1)
+    assert stats.failures == ["sink: disk full"]
+    assert [fid for fid, _ in sink.delivered] == [0]
+    assert read == [0, 1]
     left = [t for t in threading.enumerate() if t not in before]
     assert left == []
 

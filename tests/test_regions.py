@@ -224,8 +224,8 @@ def frame_document(mask):
 @pytest.mark.parametrize("factor", [1, 2, 4])
 def test_regions_of_the_strided_sample_equal_those_of_a_downsampled_copy(monkeypatch, factor):
     # extract_regions hands dbscan_lattice a strided view of the mask and the
-    # class codes; clustering the bool stack of a downsampled copy instead
-    # must give the same document.
+    # class codes; clustering the codes of a downsampled copy instead must
+    # give the same document.
     cfg = ExtractionConfig(downsample_factor=factor)
     lattice = regions.dbscan_lattice
     for mask in sample_masks():
@@ -235,7 +235,7 @@ def test_regions_of_the_strided_sample_equal_those_of_a_downsampled_copy(monkeyp
         def via_a_copy(grid, params, codes):
             copy = downsample(mask, factor).data
             assert np.array_equal(grid, copy)
-            return lattice(copy == codes[:, None, None], params)
+            return lattice(copy, params, codes)
 
         with monkeypatch.context() as patched:
             patched.setattr(regions, "dbscan_lattice", via_a_copy)
@@ -259,9 +259,9 @@ def test_default_hulls_equal_convex_hull_of_each_dbscan_cluster(eps):
                 hull = convex_hull(points[labels == k])
                 if hull is not None and polygon_area(hull) >= min_area:
                     expected.append((cls, hull))
-        stack = np.stack([small.data == int(cls) for cls in classes])
         owner, hulls, areas = regions._cluster_hulls(
-            regions.dbscan_lattice(stack, cfg.cluster), small.height
+            regions.dbscan_lattice(small.data, cfg.cluster, [int(cls) for cls in classes]),
+            small.height,
         )
         got = [
             (classes[i], hull)
@@ -329,7 +329,7 @@ def test_pruned_row_extremes_give_the_hulls_of_all_row_extremes(factor):
         small = downsample(mask, factor)
         assert_hulls_match_the_oracle(
             *(
-                regions.dbscan_lattice(small.data == int(cls), ClusterParams())
+                regions.dbscan_lattice(small.data, ClusterParams(), (int(cls),))
                 for cls in (ClassId.EGO_LANE, ClassId.OTHER_LANES)
             )
         )

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import ClassId, RoadClass, SegmentationMask, downsample
+from .core import ClassId, RoadClass, SegmentationMask
 from .regions import DrivableRegion, ExtractionConfig, RegionSet, extract_regions
 from .policy import NavigationAdvice, advise
 
@@ -11,7 +11,6 @@ __all__ = [
     "ClassId",
     "RoadClass",
     "SegmentationMask",
-    "downsample",
     "DrivableRegion",
     "ExtractionConfig",
     "RegionSet",

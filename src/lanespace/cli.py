@@ -119,19 +119,7 @@ def _stream(args, cfg: PipelineConfig) -> PipelineStats:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    made = False
-    if args.stats is not None:
-        # Open the report file before the sink is made or a frame is read, so
-        # a path that cannot be written fails at once. Appending changes no
-        # file that is there; one made here goes again if the run raises.
-        made = not os.path.lexists(args.stats)
-        open(args.stats, "a").close()
-    try:
-        stats = _stream(args, cfg)
-    except BaseException:
-        if made:
-            os.unlink(args.stats)
-        raise
+    stats = _stream(args, cfg)
     report = _report(
         seed=args.seed,
         config=dataclasses.asdict(cfg),
@@ -250,7 +238,7 @@ def cmd_loss_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Each command takes only the shared options it reads.
+    # Each command takes only the shared options it reads; `writes` names its file outputs.
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="JSON config file")
     seed = argparse.ArgumentParser(add_help=False)
@@ -269,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mask", help="input P5 mask file")
     p.add_argument("--road-class", help=f"road class name, one of: {', '.join(road_class_name(rc) for rc in RoadClass)}")
     p.add_argument("--overlay", help="also write an RGB overlay to this PPM path")
-    p.set_defaults(func=cmd_process)
+    p.set_defaults(func=cmd_process, writes=("out", "overlay"))
 
     p = sub.add_parser("run", parents=[config, seed], help="stream masks through the pipeline")
     p.add_argument("--source", required=True, help="dir:<path>, gen:<N[xWxH][@noise]>, or tcp:<host:port> to serve")
     p.add_argument("--sink", default="null", help="dir:<path>, tcp:<host:port>, or null")
     p.add_argument("--stats", help="write the stats report here instead of stdout")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, writes=("stats",))
 
     p = sub.add_parser("eval", parents=[out], help="score predictions against ground truth")
     p.add_argument("--pred", required=True, help="directory of predicted masks or region documents")
     p.add_argument("--gt", required=True, help="directory of ground-truth masks")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, writes=("out",))
 
     p = sub.add_parser("gen", parents=[seed], help="write synthetic scenes with ground truth")
     p.add_argument("--count", type=int, default=10)
@@ -290,20 +278,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, help="fixed noise rate (default random up to 0.02)")
     p.add_argument("--obstacles", type=int, default=2, help="max obstacles per scene")
     p.add_argument("--out", help="directory for the scene files (default scenes)")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, writes=())  # --out is a directory
 
     p = sub.add_parser("loss-check", parents=[seed, out], help="finite-difference gradient audit")
     p.add_argument("--cases", type=int, default=1000)
-    p.set_defaults(func=cmd_loss_check)
+    p.set_defaults(func=cmd_loss_check, writes=("out",))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    made: list[str] = []
     try:
+        # Open each file the command writes before it does any work, so a path
+        # that cannot be written fails at once. Appending changes no file that
+        # is there; one made here goes again if the command raises.
+        for path in filter(None, (getattr(args, name) for name in args.writes)):
+            if not os.path.lexists(path):
+                made.append(path)
+            open(path, "a").close()
         return args.func(args)
-    except (ValueError, OSError) as e:
+    except BaseException as e:
+        for path in made:  # the last may have failed to open
+            Path(path).unlink(missing_ok=True)
+        if not isinstance(e, (ValueError, OSError)):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -90,12 +90,3 @@ class SegmentationMask:
         return self.data.shape == other.data.shape and bool(
             np.all(self.data == other.data)
         )
-
-
-def downsample(mask: SegmentationMask, factor: int) -> SegmentationMask:
-    """Stride sampling: output pixel (i, j) = input pixel (i*factor, j*factor)."""
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"downsample factor must be a positive integer, got {factor!r}")
-    if factor == 1:
-        return mask
-    return SegmentationMask(mask.data[::factor, ::factor])

@@ -249,12 +249,12 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
     """Full pipeline from mask to disjoint, side-attributed lane regions.
 
     Both classes are clustered on the downsampled pixel grid in one
-    `dbscan_lattice` call, ego first: it gets the stride sample of
-    `downsample` as a view of the mask, whose codes were checked when it was
-    built, and the two class codes, so no per-class grid is copied out. Each
-    cluster comes out as row spans, and the hulls of all clusters of the
-    frame are built in one pass from the leftmost and rightmost span end of
-    every row each occupies.
+    `dbscan_lattice` call, ego first: it gets a strided view of the mask,
+    every `downsample_factor`-th pixel of every such row, whose codes were
+    checked when the mask was built, and the two class codes, so no grid is
+    copied out. Each cluster comes out as row spans, and the hulls of all
+    clusters of the frame are built in one pass from the leftmost and
+    rightmost span end of every row each occupies.
     """
     cfg = cfg or ExtractionConfig()
     factor = cfg.downsample_factor

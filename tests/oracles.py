@@ -1,5 +1,5 @@
-"""Reference DBSCANs, point extraction, hull and clip that the tests compare
-the package with.
+"""Reference DBSCANs, point extraction, downsampling, hull and clip that the
+tests compare the package with.
 
 `dbscan_bruteforce` is the textbook sequential DBSCAN on an all-pairs distance
 matrix. `dbscan` is a grid-indexed form for arbitrary 2-D points that gives
@@ -8,7 +8,8 @@ clusters by their lowest-index core point, give a border point reachable from
 several clusters to the first cluster that claims it in index order, and
 relabel clusters below min_cluster_size to noise, renumbering the survivors
 contiguously from 0. For pixels from `extract_points`, index order is
-row-major order.
+row-major order. `downsample` copies out the stride sample that
+`extract_regions` clusters as a view of the mask.
 
 `stack_spans` lays out the spans of separate grids as those of one stack of
 them. `convex_hull` is Andrew's monotone chain over any points,
@@ -36,6 +37,15 @@ def extract_points(mask: SegmentationMask, class_id: ClassId | int) -> np.ndarra
     """
     ys, xs = np.nonzero(mask.data == int(class_id))
     return np.column_stack([xs, ys]).astype(np.float64)
+
+
+def downsample(mask: SegmentationMask, factor: int) -> SegmentationMask:
+    """Stride sampling: output pixel (i, j) = input pixel (i*factor, j*factor)."""
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"downsample factor must be a positive integer, got {factor!r}")
+    if factor == 1:
+        return mask
+    return SegmentationMask(mask.data[::factor, ::factor])
 
 
 def _size_filter(labels: np.ndarray, n_clusters: int, min_size: int) -> np.ndarray:

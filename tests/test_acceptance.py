@@ -16,7 +16,7 @@ import pytest
 
 from lanespace import regions
 from lanespace.clustering import NOISE, ClusterParams
-from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample
+from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.geometry import (
     convex_intersection,
     convex_subtract,
@@ -51,7 +51,7 @@ from lanespace.pipeline import (
 from lanespace.policy import advise
 from lanespace.regions import ExtractionConfig, extract_regions
 from lanespace.scenes import generate, sample_spec
-from oracles import convex_hull, dbscan_bruteforce, extract_points, oracle_labels
+from oracles import convex_hull, dbscan_bruteforce, downsample, extract_points, oracle_labels
 
 
 @contextmanager

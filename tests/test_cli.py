@@ -480,19 +480,71 @@ def test_run_to_a_dir_sink_that_cannot_write_exits_1_with_its_report(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["000000.json", "000001.json"]
 
 
-def test_run_with_a_report_path_it_cannot_write_makes_no_sink(tmp_path, capsys):
-    out, stats_file = tmp_path / "out", tmp_path / "missing" / "s.json"
-    argv = ["run", "--source", "gen:20x64x64", "--sink", f"dir:{out}", "--stats", str(stats_file)]
-    assert main(argv) == 2
-    assert str(stats_file) in capsys.readouterr().err
-    assert not out.exists()
+def truncated_ground_truth(tmp_path):
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    (gt / "000000.pgm").write_bytes(b"P5\n64 64\n255\nxy")
+    return gt
 
 
-def test_a_run_that_raises_leaves_a_report_file_it_found_as_it_was(tmp_path, capsys):
-    stats_file = tmp_path / "s.json"
-    stats_file.write_text("earlier report\n")
-    assert main(["run", "--source", f"dir:{tmp_path}/missing", "--stats", str(stats_file)]) == 2
-    assert stats_file.read_text() == "earlier report\n"
+def fail_if_called(*args, **kwargs):
+    pytest.fail("the command did its work before it opened its output files")
+
+
+FILE_OPTION_IDS = ["process-out", "process-overlay", "run-stats", "eval-out", "loss-check-out"]
+
+
+# `work` is the command's first step, patched to fail the test. eval's first
+# step reads the ground truth, whose one mask is truncated: read first, it
+# would be named in the error line instead of the output path.
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["process", "{mask}", "--out", "{bad}"], "read_mask"),
+        (["process", "{mask}", "--out", "{tmp}/ok.json", "--overlay", "{bad}"], "read_mask"),
+        (["run", "--source", "gen:2x64x64", "--sink", "dir:{tmp}/out", "--stats", "{bad}"], "_stream"),
+        (["eval", "--pred", "{gt}", "--gt", "{gt}", "--out", "{bad}"], None),
+        (["loss-check", "--cases", "5", "--out", "{bad}"], "check_gradients"),
+    ],
+    ids=FILE_OPTION_IDS,
+)
+def test_a_file_the_command_cannot_write_fails_it_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, work
+):
+    bad = tmp_path / "missing" / "x"
+    gt = truncated_ground_truth(tmp_path)
+    names = {"mask": rect_mask(tmp_path), "gt": gt, "tmp": tmp_path, "bad": bad}
+    if work is not None:
+        monkeypatch.setattr(cli, work, fail_if_called)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([arg.format(**names) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+    assert sorted(tmp_path.rglob("*")) == before  # no ok.json, no sink directory
+
+
+@pytest.mark.parametrize("found", [False, True], ids=["new", "found"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["process", "{gt}/000000.pgm", "--out", "{file}"],
+        ["process", "{gt}/000000.pgm", "--overlay", "{file}"],
+        ["run", "--source", "dir:{tmp}/missing", "--stats", "{file}"],
+        ["eval", "--pred", "{gt}", "--gt", "{gt}", "--out", "{file}"],
+        ["loss-check", "--cases", "0", "--out", "{file}"],
+    ],
+    ids=FILE_OPTION_IDS,
+)
+def test_a_command_that_fails_leaves_its_output_path_as_it_found_it(tmp_path, capsys, argv, found):
+    file = tmp_path / "result"
+    if found:
+        file.write_bytes(b"earlier report\n")
+    names = {"gt": truncated_ground_truth(tmp_path), "tmp": tmp_path, "file": file}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    if found:
+        assert file.read_bytes() == b"earlier report\n"
+    else:
+        assert not file.exists()
 
 
 def test_run_serving_on_a_taken_port_leaves_no_sink_directory(tmp_path, capsys):

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lanespace.clustering import NOISE, ClusterParams, _sparse_flatnonzero, dbscan_lattice
-from lanespace.core import ClassId, downsample
+from lanespace.core import ClassId
 from lanespace.scenes import generate, sample_spec
-from oracles import dbscan, dbscan_bruteforce, oracle_labels
+from oracles import dbscan, dbscan_bruteforce, downsample, oracle_labels
 
 
 def partition_of(labels: np.ndarray) -> tuple[frozenset, frozenset]:

@@ -7,11 +7,10 @@ from lanespace.core import (
     ClassId,
     RoadClass,
     SegmentationMask,
-    downsample,
     road_class_from_name,
     road_class_name,
 )
-from oracles import extract_points
+from oracles import downsample, extract_points
 
 mask_grids = st.integers(1, 12).flatmap(
     lambda h: st.integers(1, 12).flatmap(

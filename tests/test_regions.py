@@ -10,7 +10,7 @@ import pytest
 
 from lanespace import geometry, regions
 from lanespace.clustering import ClusterParams, Spans
-from lanespace.core import ClassId, RoadClass, SegmentationMask, downsample
+from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.geometry import (
     convex_intersection,
     pieces_area,
@@ -32,7 +32,14 @@ from lanespace.regions import (
     resolve_overlaps,
 )
 from lanespace.scenes import generate, sample_spec
-from oracles import clip_intersection, convex_hull, dbscan, extract_points, stack_spans
+from oracles import (
+    clip_intersection,
+    convex_hull,
+    dbscan,
+    downsample,
+    extract_points,
+    stack_spans,
+)
 
 
 def square(x0, y0, side):

@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanespace.clustering import NOISE, ClusterParams, _sparse_flatnonzero, dbscan_lattice
+from lanespace import clustering
+from lanespace.clustering import NOISE, ClusterParams, _set_bits, dbscan_lattice
 from lanespace.core import ClassId
 from lanespace.scenes import generate, sample_spec
 from oracles import dbscan, dbscan_bruteforce, downsample, oracle_labels
@@ -163,15 +165,27 @@ LATTICE_EPS = (
     math.sqrt(8),
     3.0,
     9.0,
+    1e9,
     math.inf,
 )
 
 
+def lattice_spans(grid: np.ndarray, params: ClusterParams, codes, bits: bool) -> clustering.Spans:
+    """`dbscan_lattice` with its dense stage on bit planes or on bytes,
+    whatever the grid's size."""
+    with mock.patch.object(clustering, "BIT_PLANES_FROM", 0 if bits else math.inf):
+        return dbscan_lattice(grid, params, codes)
+
+
 def lattice_labels(grid: np.ndarray, params: ClusterParams, codes=(True,)) -> np.ndarray:
     """`dbscan_lattice`'s spans painted into a label image (NOISE elsewhere),
-    code g's grid as rows g * H to g * H + H - 1; a boolean grid by default."""
+    code g's grid as rows g * H to g * H + H - 1; a boolean grid by default.
+    The spans are the same through both dense stages."""
+    spans = lattice_spans(grid, params, codes, bits=False)
+    bits = lattice_spans(grid, params, codes, bits=True)
+    assert all(np.array_equal(b, s) for b, s in zip(bits, spans))
     image = np.full((len(codes) * len(grid), grid.shape[1]), NOISE, dtype=np.int64)
-    for label, y, first, last in zip(*dbscan_lattice(grid, params, codes)):
+    for label, y, first, last in zip(*spans):
         image[y, first : last + 1] = label
     return image
 
@@ -186,9 +200,20 @@ def stack_labels(images: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(stacked)
 
 
+def grid_shapes():
+    """Heights and widths up to 32, or widths that span two or three 64-bit
+    words of a bit-plane row, on fewer rows."""
+    narrow = st.tuples(st.integers(1, 32), st.integers(1, 32))
+    return narrow | st.tuples(st.integers(1, 8), st.integers(57, 135))
+
+
+# Up to a 3x3 box's 9, and above the stencil of any eps up to 3.
+MIN_PTS = st.integers(1, 9) | st.integers(10, 40)
+
+
 @st.composite
 def lattice_cases(draw):
-    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    h, w = draw(grid_shapes())
     density = draw(st.floats(0.05, 0.95))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     member = rng.random((h, w)) < density
@@ -198,42 +223,46 @@ def lattice_cases(draw):
         member[:, [0, -1]] = True
     params = ClusterParams(
         eps=draw(st.sampled_from(LATTICE_EPS)),
-        min_pts=draw(st.integers(1, 9)),
+        min_pts=draw(MIN_PTS),
         min_cluster_size=draw(st.integers(3, 20)),
     )
-    return member, params
+    if draw(st.booleans()):
+        return member, params, member, (True,)
+    # Code 1 of a grid whose other pixels hold 0 or 2.
+    grid = np.where(member, 1, 2 * (rng.random((h, w)) < 0.5)).astype(np.uint8)
+    return member, params, grid, (1,)
 
 
 @given(lattice_cases())
 def test_lattice_labels_equal_grid_labels(case):
-    member, params = case
-    assert np.array_equal(lattice_labels(member, params), oracle_labels(member, params))
+    member, params, grid, codes = case
+    assert np.array_equal(lattice_labels(grid, params, codes), oracle_labels(member, params))
 
 
 @st.composite
 def stacked_cases(draw):
-    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    h, w = draw(grid_shapes())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     member = rng.random((h, w)) < draw(st.floats(0.05, 0.95))
     grid = np.where(member, rng.integers(1, 3, size=(h, w)), 0).astype(np.uint8)
     if draw(st.booleans()):
-        # Clusters along the last row of code 1 and the first row of code 2,
-        # which one stencil would join were the codes' grids not kept apart.
-        grid[-1, :] = 1
-        grid[0, :] = 2
+        # Clusters along the last row of one code and the first row of the
+        # other, which one stencil would join were the codes' grids not kept
+        # apart: with the first code last, their rows are stacked side by side.
+        grid[-1, :], grid[0, :] = draw(st.permutations([1, 2]))
     params = ClusterParams(
-        eps=draw(st.sampled_from((0.5, 1.5, 2.5, 3.0))),
-        min_pts=draw(st.integers(1, 9)),
+        eps=draw(st.sampled_from((0.5, 1.5, 2.5, 3.0, 1e9))),
+        min_pts=draw(MIN_PTS),
         min_cluster_size=draw(st.integers(3, 12)),
     )
-    return grid, params
+    return grid, params, draw(st.sampled_from([(1, 2), (2, 1)]))
 
 
 @given(stacked_cases())
 def test_a_stack_of_two_grids_gives_the_spans_of_two_calls(case):
-    grid, params = case
-    want = stack_labels([oracle_labels(grid == code, params) for code in (1, 2)])
-    assert np.array_equal(lattice_labels(grid, params, (1, 2)), want)
+    grid, params, codes = case
+    want = stack_labels([oracle_labels(grid == code, params) for code in codes])
+    assert np.array_equal(lattice_labels(grid, params, codes), want)
 
 
 def class_grids():
@@ -263,12 +292,37 @@ def test_class_codes_give_the_spans_of_their_bool_stack(factor, eps):
             assert np.array_equal(got, stack_labels([oracle[code] for code in codes]))
 
 
-@pytest.mark.parametrize("size", [0, 13, 1 << 16, (1 << 16) + 5, 616_323])
-def test_sparse_flatnonzero_is_flatnonzero(size):
-    rng = np.random.default_rng(size)
-    for density in (0.0, 0.001, 0.3, 1.0):
-        a = rng.random(size) < density
-        assert np.array_equal(_sparse_flatnonzero(a), np.flatnonzero(a))
+@pytest.mark.parametrize("height", [511, 512])
+def test_the_dense_paths_give_the_same_spans_either_side_of_the_size_line(height):
+    # Two codes of 511 or 512 rows of 254 pixels, padded to 256, are just
+    # below and at 2**18 cells.
+    rng = np.random.default_rng(height)
+    grid = np.kron(rng.choice(3, size=(64, 32)), np.ones((8, 8), dtype=np.uint8))
+    noisy = rng.random(grid.shape) < 0.1
+    grid[noisy] = rng.choice(3, size=int(noisy.sum()))
+    grid = grid[:height, :254]
+    assert (2 * height * 256 >= clustering.BIT_PLANES_FROM) == (height == 512)
+    for params in (ClusterParams(), ClusterParams(eps=2.5, min_pts=9)):
+        got = dbscan_lattice(grid, params, (1, 2))
+        assert len(got.label) > 0
+        for bits in (False, True):
+            want = lattice_spans(grid, params, (1, 2), bits)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "length", [0, 13, 63, 64, 65, 127, 128, 129, 1 << 16, (1 << 16) + 5, 616_323]
+)
+def test_sparse_flatnonzero_is_flatnonzero(length):
+    # `_set_bits` is np.flatnonzero of a plane's bits, for sparse planes: it
+    # unpacks only the bytes that hold a set bit.
+    rng = np.random.default_rng(length)
+    for density in (0.0, 0.001, 0.1, 0.5, 0.9, 1.0):
+        bits = np.zeros(-(-length // 64) * 64, dtype=bool)  # whole words
+        bits[:length] = rng.random(length) < density
+        plane = np.packbits(bits, bitorder="little").view("<u8")
+        unpacked = np.unpackbits(plane.view(np.uint8), bitorder="little")
+        assert np.array_equal(_set_bits(plane), np.flatnonzero(unpacked))
 
 
 def test_lattice_border_pixel_takes_the_lowest_adjacent_cluster():
@@ -364,6 +418,18 @@ def test_lattice_wide_stencil_does_not_reach_into_the_next_row():
     want = [[NOISE] * 7 + [0] * 3, [1] * 3 + [NOISE] * 7]
     assert lattice_labels(member, params).tolist() == want
     assert oracle_labels(member, params).tolist() == want
+
+
+@pytest.mark.parametrize("width", [61, 62, 63, 64, 65, 125, 126, 127, 128])
+def test_lattice_stencil_counts_no_pixel_of_the_next_row(width):
+    # At eps 3 a row's last three pixels and the next row's first three are
+    # width - 3 columns apart, so each sees only its own run: three members,
+    # one short of core. Rows of whole 64-bit words must keep them apart.
+    member = np.zeros((2, width), dtype=bool)
+    member[0, -3:] = member[1, :3] = True
+    params = ClusterParams(eps=3.0, min_pts=4, min_cluster_size=3)
+    assert (lattice_labels(member, params) == NOISE).all()
+    assert (oracle_labels(member, params) == NOISE).all()
 
 
 def test_lattice_border_pixel_between_two_runs_of_its_row_takes_the_lower():

@@ -188,9 +188,9 @@ def _bit_events(
     grids, (height, width), reach, widest = len(codes), grid.shape, len(hw) - 1, int(hw[0])
     # Each code's membership, pixel x at bit x of its row, in rows of whole
     # words that end in at least 1 + max(hw[0], 1) zero bits, so that no
-    # shift by up to hw[0] moves a pixel into another row. As in the sparse
-    # half's index, `reach` empty rows follow each grid, and `reach` more come
-    # first, so that a row shift is an offset into one flat plane.
+    # shift by up to hw[0] moves a pixel into another row. As in the flat
+    # index the events are given in, `reach` empty rows follow each grid, and
+    # `reach` more come first, so that a row shift is an offset into one plane.
     row = -(-(width + 1 + max(widest, 1)) // 64)
     packed = np.packbits(grid == codes[:, None, None], axis=-1, bitorder="little")
     planes = np.zeros((reach + grids * (height + reach), 8 * row), dtype=np.uint8)

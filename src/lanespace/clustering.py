@@ -80,24 +80,18 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.cumsum(is_root) - 1)[root], int(is_root.sum())
 
 
-# The padded cells (codes x rows x w) from which `dbscan_lattice` counts on
-# bit planes instead of bytes; its docstring gives the measured crossover.
-BIT_PLANES_FROM = 1 << 18
-
 _WORD = np.dtype("<u8")  # bit i of a plane is bit i % 64 of word i // 64
 
 
 def _shifted(plane: np.ndarray, s: int) -> np.ndarray:
     """The bits of a flat plane moved s places up (s < 0: down), zero filled."""
     q, r = divmod(abs(s), 64)
-    out, n = np.empty_like(plane), len(plane) - q
+    out, n = np.zeros_like(plane), len(plane) - q
     if s > 0:
-        out[:q] = 0
         np.left_shift(plane[:n], r, out=out[q:])
         if r:
             out[q + 1 :] |= plane[: n - 1] >> (64 - r)
     else:
-        out[n:] = 0
         np.right_shift(plane[q:], r, out=out[:n])
         if r:
             out[: n - 1] |= plane[q + 1 :] << (64 - r)
@@ -142,56 +136,17 @@ def _set_bits(plane: np.ndarray) -> np.ndarray:
     return hit[at >> 3] * 8 + (at & 7)
 
 
-def _byte_events(
-    grid: np.ndarray, codes: np.ndarray, hw: np.ndarray, w: int, cells: int, min_pts: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dense stage on one byte per pixel; see `dbscan_lattice`."""
-    grids, (height, width), reach = len(codes), grid.shape, len(hw) - 1
-    padded = np.zeros((grids, height * w), dtype=bool)
-    inner = padded.reshape(grids, height, w)[:, :, 1 : width + 1]
-    np.equal(grid, codes[:, None, None], out=inner)
-    # Core: the stencil holds at least min_pts members, the pixel included.
-    # Its rows are summed from one horizontal window sum, widened to row 0's
-    # half-width and then narrowed row by row outward, within each grid.
-    pixels = padded.view(np.uint8)
-    window = pixels.astype(np.min_scalar_type(cells))
-    for half in range(1, hw[0] + 1):
-        window[:, half:] += pixels[:, :-half]
-        window[:, :-half] += pixels[:, half:]
-    counts = window.copy()
-    for dy in range(1, reach + 1):
-        for half in range(hw[dy - 1], hw[dy], -1):
-            window[:, half:] -= pixels[:, :-half]
-            window[:, :-half] -= pixels[:, half:]
-        counts[:, dy * w :] += window[:, : -dy * w]
-        counts[:, : -dy * w] += window[:, dy * w :]
-    del window  # the arrays below reuse its memory
-    counts *= pixels  # a member keeps its count, any other pixel reads 0
-    flat, counts = padded.ravel(), counts.ravel()
-    core = counts >= min_pts
-    # One scan finds both the ends of the core runs and the border
-    # candidates: members that are not core, whose stencil holds another
-    # member (a count of 1 is the pixel alone, with no core pixel to claim it).
-    event = (counts >= 2) > core
-    event[1:] |= core[1:] != core[:-1]
-    at = np.flatnonzero(event)
-    # Column 0 is empty, so no event is at 0.
-    is_edge, is_border = core[at] != core[at - 1], flat[at] & ~core[at]
-    at += at // (height * w) * (reach * w)
-    return at[is_edge], at[is_border]
-
-
-def _bit_events(
+def _dense_events(
     grid: np.ndarray, codes: np.ndarray, hw: np.ndarray, w: int, cells: int, min_pts: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The dense stage on bit planes; see `dbscan_lattice`."""
     grids, (height, width), reach, widest = len(codes), grid.shape, len(hw) - 1, int(hw[0])
-    # Each code's membership, pixel x at bit x of its row, in rows of whole
-    # words that end in at least 1 + max(hw[0], 1) zero bits, so that no
-    # shift by up to hw[0] moves a pixel into another row. As in the flat
-    # index the events are given in, `reach` empty rows follow each grid, and
-    # `reach` more come first, so that a row shift is an offset into one plane.
-    row = -(-(width + 1 + max(widest, 1)) // 64)
+    # Each code's membership, pixel x at bit x of a row of w bits, one bit
+    # before its flat position. A row ends in at least 1 + max(hw[0], 1) zero
+    # bits, so that no shift by up to hw[0] moves a pixel into another row.
+    # As in the flat index, `reach` empty rows follow each grid, and `reach`
+    # more come first, so that a row shift is an offset into one plane.
+    row = w // 64
     packed = np.packbits(grid == codes[:, None, None], axis=-1, bitorder="little")
     planes = np.zeros((reach + grids * (height + reach), 8 * row), dtype=np.uint8)
     planes[reach:].reshape(grids, height + reach, -1)[:, :height, : packed.shape[2]] = packed
@@ -216,14 +171,12 @@ def _bit_events(
     _reduce(count, 1)
     member = member[reach * row : reach * row + n]
     core = _at_least(count, min_pts, member)
-    border = _at_least(count, 2, member) & ~core
-    edge = core ^ _shifted(core, 1)
-
-    def flat(bit: np.ndarray) -> np.ndarray:
-        # Bit rows are 64 * row apart, flat rows w apart after an empty column.
-        return bit + bit // (64 * row) * (w - 64 * row) + 1
-
-    return flat(_set_bits(edge)), flat(_set_bits(border))
+    # The ends of the core runs are where core differs from the bit before.
+    # Border candidates are members that are not core, whose stencil holds
+    # another member (a count of 1 is the pixel alone, with no core pixel to
+    # claim it). A pixel's bit is one before its flat position.
+    border = _at_least(count, 2, member ^ core)  # core pixels are members
+    return _set_bits(core ^ _shifted(core, 1)) + 1, _set_bits(border) + 1
 
 
 def _runs_meeting(
@@ -244,26 +197,23 @@ def dbscan_lattice(
 ) -> Spans:
     """DBSCAN of the pixels of each code of a 2-D grid, as row spans.
 
-    Code g stands for the grid `grid == codes[g]`, a stack that is never
-    built: each code's membership is written straight into the padded array
-    the clustering reads, so a boolean grid is clustered with codes (True,).
+    Code g stands for the grid `grid == codes[g]`: each code's membership is
+    packed straight into the bit planes the clustering reads, so a boolean
+    grid is clustered with codes (True,).
     The spans cover exactly the clustered pixels, each with the label that
     sequential DBSCAN gives it over the pixels' (x, y) coordinates in
     row-major order. The codes are clustered apart: labels count up code by
     code, and row r of code g's grid is row g * H + r of the spans.
 
     The dense stage, which counts each pixel's stencil and finds the ends of
-    the core runs and the border candidates, has two layouts with the same
-    result. Below BIT_PLANES_FROM padded cells it keeps one byte per pixel;
-    from there on it packs each code's membership 64 pixels a word and adds
-    the stencil's shifted planes with bit-sliced full adders, a few passes
-    over planes an eighth the size. The line sits between downsample 2 and 1
-    of a 640x480 frame: at eps 1.5 bits took 4.8% longer than bytes at
-    downsample 2 and 19.6% less at downsample 1.
+    the core runs and the border candidates, works on bit planes: it packs
+    each code's membership 64 pixels a word and adds the stencil's shifted
+    planes with bit-sliced full adders, a few passes over planes an eighth
+    the size of one byte per pixel.
     """
     # A strided sample compares faster once made contiguous.
     grid = np.ascontiguousarray(grid)
-    grids, (height, width) = len(codes), grid.shape
+    height, width = grid.shape
     # The stencil: hw[dy] for dy = 0..R is the largest dx with
     # dx^2 + dy^2 <= eps^2 in float64, as distances are compared. The squares
     # are exact integers there, so that is dx^2 + dy^2 <= floor(eps^2). R and
@@ -280,12 +230,12 @@ def dbscan_lattice(
     # The dense stage gives the ends of the core runs and the border
     # candidates as positions in a flat index whose rows are w apart: one
     # empty column in front of each row and hw[0], at least one, after it, so
-    # that neither a run nor a stencil row's window reaches into another row.
-    # The grids are `reach` rows apart there, rows that hold no memory, so no
-    # join or border window reaches another grid.
-    w = width + 1 + max(half_widths[0], 1)
-    dense = _bit_events if grids * height * w >= BIT_PLANES_FROM else _byte_events
-    edges, border = dense(grid, np.asarray(codes), hw, w, cells, params.min_pts)
+    # that neither a run nor a stencil row's window reaches into another row,
+    # rounded up to whole 64-bit words: the rows of the dense stage's bit
+    # planes. The grids are `reach` rows apart there, rows that hold no
+    # memory, so no join or border window reaches another grid.
+    w = -(-(width + 1 + max(half_widths[0], 1)) // 64) * 64
+    edges, border = _dense_events(grid, np.asarray(codes), hw, w, cells, params.min_pts)
     # Runs of core pixels in raster order: start[i] < end[i] < start[i + 1].
     start, end = edges[0::2], edges[1::2]
     n = len(start)

@@ -1,12 +1,10 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lanespace import clustering
 from lanespace.clustering import NOISE, ClusterParams, _set_bits, dbscan_lattice
 from lanespace.core import ClassId
 from lanespace.scenes import generate, sample_spec
@@ -170,22 +168,11 @@ LATTICE_EPS = (
 )
 
 
-def lattice_spans(grid: np.ndarray, params: ClusterParams, codes, bits: bool) -> clustering.Spans:
-    """`dbscan_lattice` with its dense stage on bit planes or on bytes,
-    whatever the grid's size."""
-    with mock.patch.object(clustering, "BIT_PLANES_FROM", 0 if bits else math.inf):
-        return dbscan_lattice(grid, params, codes)
-
-
 def lattice_labels(grid: np.ndarray, params: ClusterParams, codes=(True,)) -> np.ndarray:
     """`dbscan_lattice`'s spans painted into a label image (NOISE elsewhere),
-    code g's grid as rows g * H to g * H + H - 1; a boolean grid by default.
-    The spans are the same through both dense stages."""
-    spans = lattice_spans(grid, params, codes, bits=False)
-    bits = lattice_spans(grid, params, codes, bits=True)
-    assert all(np.array_equal(b, s) for b, s in zip(bits, spans))
+    code g's grid as rows g * H to g * H + H - 1; a boolean grid by default."""
     image = np.full((len(codes) * len(grid), grid.shape[1]), NOISE, dtype=np.int64)
-    for label, y, first, last in zip(*spans):
+    for label, y, first, last in zip(*dbscan_lattice(grid, params, codes)):
         image[y, first : last + 1] = label
     return image
 
@@ -290,24 +277,6 @@ def test_class_codes_give_the_spans_of_their_bool_stack(factor, eps):
             got = lattice_labels(grid, params, np.array(codes, dtype=np.uint8))
             assert (got != NOISE).any()
             assert np.array_equal(got, stack_labels([oracle[code] for code in codes]))
-
-
-@pytest.mark.parametrize("height", [511, 512])
-def test_the_dense_paths_give_the_same_spans_either_side_of_the_size_line(height):
-    # Two codes of 511 or 512 rows of 254 pixels, padded to 256, are just
-    # below and at 2**18 cells.
-    rng = np.random.default_rng(height)
-    grid = np.kron(rng.choice(3, size=(64, 32)), np.ones((8, 8), dtype=np.uint8))
-    noisy = rng.random(grid.shape) < 0.1
-    grid[noisy] = rng.choice(3, size=int(noisy.sum()))
-    grid = grid[:height, :254]
-    assert (2 * height * 256 >= clustering.BIT_PLANES_FROM) == (height == 512)
-    for params in (ClusterParams(), ClusterParams(eps=2.5, min_pts=9)):
-        got = dbscan_lattice(grid, params, (1, 2))
-        assert len(got.label) > 0
-        for bits in (False, True):
-            want = lattice_spans(grid, params, (1, 2), bits)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize(

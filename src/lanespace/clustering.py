@@ -197,8 +197,9 @@ def dbscan_lattice(
 ) -> Spans:
     """DBSCAN of the pixels of each code of a 2-D grid, as row spans.
 
-    Code g stands for the grid `grid == codes[g]`: each code's membership is
-    packed straight into the bit planes the clustering reads, so a boolean
+    Code g stands for the grid `grid == codes[g]`, the codes cast to the
+    grid's dtype so that the compare is not widened: each code's membership
+    is packed straight into the bit planes the clustering reads, so a boolean
     grid is clustered with codes (True,).
     The spans cover exactly the clustered pixels, each with the label that
     sequential DBSCAN gives it over the pixels' (x, y) coordinates in
@@ -222,9 +223,9 @@ def dbscan_lattice(
     top = math.floor(min(params.eps * params.eps, (height - 1) ** 2 + (width - 1) ** 2))
     reach = min(height - 1, math.isqrt(top))
     half_widths = [min(width - 1, math.isqrt(top - dy * dy)) for dy in range(reach + 1)]
-    none = np.empty(0, dtype=np.int64)
     cells = 2 * sum(2 * h + 1 for h in half_widths) - (2 * half_widths[0] + 1)
     if cells == 1:
+        none = np.empty(0, dtype=np.int64)
         return Spans(none, none, none, none)  # clusters of one pixel each
     hw = np.array(half_widths)
     # The dense stage gives the ends of the core runs and the border
@@ -235,12 +236,11 @@ def dbscan_lattice(
     # planes. The grids are `reach` rows apart there, rows that hold no
     # memory, so no join or border window reaches another grid.
     w = -(-(width + 1 + max(half_widths[0], 1)) // 64) * 64
-    edges, border = _dense_events(grid, np.asarray(codes), hw, w, cells, params.min_pts)
+    codes = np.asarray(codes, dtype=grid.dtype)
+    edges, border = _dense_events(grid, codes, hw, w, cells, params.min_pts)
     # Runs of core pixels in raster order: start[i] < end[i] < start[i + 1].
     start, end = edges[0::2], edges[1::2]
     n = len(start)
-    if n == 0:
-        return Spans(none, none, none, none)
     # Run b in row dy below run a joins it when it meets a's columns widened
     # by hw[dy] on each side, corners included. With hw[0] >= 2 this also
     # joins runs of one row (a meets itself too, which changes nothing).

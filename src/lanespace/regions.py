@@ -242,7 +242,6 @@ def _cluster_hulls(
 
 
 _CLASSES = (ClassId.EGO_LANE, ClassId.OTHER_LANES)
-_CODES = np.array(_CLASSES, dtype=np.uint8)
 
 
 def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None) -> RegionSet:
@@ -263,7 +262,7 @@ def extract_regions(mask: SegmentationMask, cfg: ExtractionConfig | None = None)
     # downsampled grid until the final scaling step.
     min_area_small = cfg.min_region_area / float(factor * factor)
     owner, hulls, areas = _cluster_hulls(
-        dbscan_lattice(small, cfg.cluster, _CODES), len(small)
+        dbscan_lattice(small, cfg.cluster, _CLASSES), len(small)
     )
     ordered = [
         (_CLASSES[i], [hull])

@@ -57,7 +57,7 @@ class SceneSpec:
         if not 1 <= len(self.lanes) <= 3:
             raise ValueError("a scene has 1 to 3 lanes")
         roles = [b.lane for b in self.lanes]
-        if sorted(roles, key=_ROLE_ORDER.get) != sorted(set(roles), key=_ROLE_ORDER.get):
+        if len(set(roles)) != len(roles):
             raise ValueError(f"duplicate lane roles: {roles}")
         if LANE_EGO not in roles:
             raise ValueError("every scene needs an ego lane")

@@ -9,25 +9,31 @@ several clusters to the first cluster that claims it in index order, and
 relabel clusters below min_cluster_size to noise, renumbering the survivors
 contiguously from 0. For pixels from `extract_points`, index order is
 row-major order. `downsample` copies out the stride sample that
-`extract_regions` clusters as a view of the mask.
+`extract_regions` clusters as a view of the mask. `oracle_labels` and
+`lattice_labels` lay out an oracle's labels and `dbscan_lattice`'s spans as
+label images, so the two compare pixel for pixel.
 
 `stack_spans` lays out the spans of separate grids as those of one stack of
 them. `convex_hull` is Andrew's monotone chain over any points,
+`hull_vertex_mask` finds its vertices by brute force over every triangle,
 `clip_intersection` is `convex_intersection` without its separating-edge test,
 and `is_convex_ccw` and `point_in_convex` check the polygons the package makes.
 `roll_area`, `roll_moments` and `roll_edge_sides` are the shoelace measures
 and the separating-edge matrix in their first `np.roll` form, which the
-package's must equal bit for bit.
+package's must equal bit for bit. `square` and `random_convex` make test
+polygons, and `square_region` and `region_set` regions of one square each.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import numpy as np
 
-from lanespace.clustering import NOISE, ClusterParams, Spans, _components
+from lanespace.clustering import NOISE, ClusterParams, Spans, _components, dbscan_lattice
 from lanespace.core import ClassId, SegmentationMask
 from lanespace.geometry import EPS_AREA, EPS_GEOM, _cross, _ring, _split, polygon_area
+from lanespace.regions import LANE_EGO, LANE_LEFT, LANE_RIGHT, DrivableRegion, RegionSet
 
 
 def extract_points(mask: SegmentationMask, class_id: ClassId | int) -> np.ndarray:
@@ -167,6 +173,15 @@ def oracle_labels(member: np.ndarray, params: ClusterParams, fn=dbscan) -> np.nd
     return image
 
 
+def lattice_labels(grid: np.ndarray, params: ClusterParams, codes=(True,)) -> np.ndarray:
+    """`dbscan_lattice`'s spans painted into a label image (NOISE elsewhere),
+    code g's grid as rows g * H to g * H + H - 1; a boolean grid by default."""
+    image = np.full((len(codes) * len(grid), grid.shape[1]), NOISE, dtype=np.int64)
+    for label, y, first, last in zip(*dbscan_lattice(grid, params, codes)):
+        image[y, first : last + 1] = label
+    return image
+
+
 def convex_hull(points: np.ndarray) -> np.ndarray | None:
     """Andrew monotone-chain hull; None when collinear or fewer than 3 points."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -192,6 +207,56 @@ def convex_hull(points: np.ndarray) -> np.ndarray | None:
     if len(hull) < 3 or polygon_area(hull) <= EPS_AREA:
         return None
     return hull
+
+
+def hull_vertex_mask(pts: np.ndarray) -> np.ndarray:
+    """True where a point is a hull vertex: not strictly inside any triangle."""
+    n = len(pts)
+    if n < 3:
+        return np.ones(n, dtype=bool)
+    tri = np.array(list(itertools.combinations(range(n), 3)))
+    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+
+    def cross(o, d):
+        return (d[:, 0, None] - o[:, 0, None]) * (pts[None, :, 1] - o[:, 1, None]) - (
+            d[:, 1, None] - o[:, 1, None]
+        ) * (pts[None, :, 0] - o[:, 0, None])
+
+    c1, c2, c3 = cross(a, b), cross(b, c), cross(c, a)
+    inside = ((c1 > 0) & (c2 > 0) & (c3 > 0)) | ((c1 < 0) & (c2 < 0) & (c3 < 0))
+    return ~inside.any(axis=0)
+
+
+def random_convex(rng: np.random.Generator, n: int = 10, scale: float = 20.0, shift=(0.0, 0.0)):
+    """The hull of n points drawn uniformly from [0, scale)^2 and shifted,
+    drawn again until the hull has area."""
+    while True:
+        hull = convex_hull(rng.uniform(0, scale, (n, 2)) + np.asarray(shift))
+        if hull is not None:
+            return hull
+
+
+def square(x0, y0, side):
+    """The counter-clockwise square with lower corner (x0, y0)."""
+    return np.array(
+        [[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]],
+        dtype=np.float64,
+    )
+
+
+def square_region(lane: str, x: float, side: float = 1.0) -> DrivableRegion:
+    """A region of one square piece with lower corner (x, 0)."""
+    return DrivableRegion.from_pieces(lane, [square(x, 0.0, side)])
+
+
+def region_set(ego=False, left=False, right=False) -> RegionSet:
+    """The sides asked for, as squares of side 2 at x 0 (left), 10 (ego) and
+    20 (right)."""
+    return RegionSet(
+        ego=square_region(LANE_EGO, 10.0, 2.0) if ego else None,
+        left=square_region(LANE_LEFT, 0.0, 2.0) if left else None,
+        right=square_region(LANE_RIGHT, 20.0, 2.0) if right else None,
+    )
 
 
 def clip_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

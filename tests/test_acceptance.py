@@ -1,21 +1,19 @@
 """Acceptance gate: nine numbered criteria, one printed verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
-Every criterion is self-contained and uses its own independent oracle.
+Every criterion is self-contained and checks the package against an
+independent oracle. The oracles are `tests/oracles.py`'s and the served
+harness is `tests/conftest.py`'s, the ones the unit tests use.
 """
 import itertools
-import json
 import math
-import socket
-import threading
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from lanespace import regions
-from lanespace.clustering import NOISE, ClusterParams
+from lanespace.clustering import ClusterParams
 from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.geometry import (
     convex_intersection,
@@ -34,9 +32,7 @@ from lanespace.metrics import ConfusionCounts, confusion, iou
 from lanespace.pipeline import (
     MSG_MASK,
     MSG_REGIONS,
-    MaskPayload,
     NullSink,
-    PipelineClient,
     PipelineConfig,
     ProtocolError,
     RegionPayload,
@@ -46,12 +42,22 @@ from lanespace.pipeline import (
     gen_source,
     mask_frame,
     run_pipeline,
-    serve,
 )
 from lanespace.policy import advise
 from lanespace.regions import ExtractionConfig, extract_regions
 from lanespace.scenes import generate, sample_spec
-from oracles import convex_hull, dbscan_bruteforce, downsample, extract_points, oracle_labels
+from conftest import CaptureSink, serve_frames
+from oracles import (
+    convex_hull,
+    dbscan_bruteforce,
+    downsample,
+    extract_points,
+    hull_vertex_mask,
+    lattice_labels,
+    oracle_labels,
+    random_convex,
+    region_set,
+)
 
 
 @contextmanager
@@ -78,38 +84,10 @@ def test_criterion_1_clustering_matches_brute_force():
                 min_cluster_size=int(rng.integers(3, 20)),
             )
             # The clustering extract_regions runs, painted per pixel.
-            labels = np.full(grid.shape, NOISE, dtype=np.int64)
-            spans = regions.dbscan_lattice(grid, params, (int(ClassId.EGO_LANE),))
-            for label, y, first, last in zip(*spans):
-                labels[y, first : last + 1] = label
+            labels = lattice_labels(grid, params, (int(ClassId.EGO_LANE),))
             slow = oracle_labels(grid == 1, params, dbscan_bruteforce)
             assert np.array_equal(labels, slow), f"labels differ at seed {seed}"
         assert time.perf_counter() - t0 < 10.0
-
-
-def brute_hull_vertex_mask(pts: np.ndarray) -> np.ndarray:
-    """True where a point is a hull vertex: not strictly inside any triangle."""
-    n = len(pts)
-    if n < 3:
-        return np.ones(n, dtype=bool)
-    tri = np.array(list(itertools.combinations(range(n), 3)))
-    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-
-    def cross(o, d):
-        return (d[:, 0, None] - o[:, 0, None]) * (pts[None, :, 1] - o[:, 1, None]) - (
-            d[:, 1, None] - o[:, 1, None]
-        ) * (pts[None, :, 0] - o[:, 0, None])
-
-    c1, c2, c3 = cross(a, b), cross(b, c), cross(c, a)
-    inside = ((c1 > 0) & (c2 > 0) & (c3 > 0)) | ((c1 < 0) & (c2 < 0) & (c3 < 0))
-    return ~inside.any(axis=0)
-
-
-def random_convex(rng, n, scale, offset) -> np.ndarray:
-    hull = None
-    while hull is None:
-        hull = convex_hull(rng.uniform(0, scale, (n, 2)) + offset)
-    return hull
 
 
 def test_criterion_2_geometry_oracles():
@@ -119,14 +97,14 @@ def test_criterion_2_geometry_oracles():
             pts = rng.uniform(0, 100, (int(rng.integers(3, 41)), 2))
             hull = convex_hull(pts)
             assert hull is not None
-            expected = pts[brute_hull_vertex_mask(pts)]
+            expected = pts[hull_vertex_mask(pts)]
             got = {(float(x), float(y)) for x, y in hull}
             want = {(float(x), float(y)) for x, y in expected}
             assert got == want, f"hull vertex set differs at seed {seed}"
 
         for seed in range(100):
             rng = np.random.default_rng(500 + seed)
-            a = random_convex(rng, int(rng.integers(3, 12)), 10.0, np.zeros(2))
+            a = random_convex(rng, int(rng.integers(3, 12)), 10.0)
             b = random_convex(rng, int(rng.integers(3, 12)), 10.0, rng.uniform(-4, 4, 2))
             inter = convex_intersection(a, b)
             pieces = convex_subtract(a, inter)
@@ -242,12 +220,6 @@ def test_criterion_6_metric_identities():
 
 
 def test_criterion_7_policy_table():
-    from lanespace.regions import DrivableRegion, RegionSet
-
-    def region(lane, x):
-        ring = np.array([[x, 0.0], [x + 2, 0.0], [x + 2, 2.0], [x, 2.0]])
-        return DrivableRegion.from_pieces(lane, [ring])
-
     expected_change = {
         RoadClass.HIGHWAY: "permitted",
         RoadClass.RESIDENTIAL: "forbidden",
@@ -258,12 +230,7 @@ def test_criterion_7_policy_table():
     with criterion("criterion 7 policy decision table"):
         for road_class, change in expected_change.items():
             for ego, left, right in itertools.product([False, True], repeat=3):
-                rs = RegionSet(
-                    ego=region("ego", 10.0) if ego else None,
-                    left=region("left", 0.0) if left else None,
-                    right=region("right", 20.0) if right else None,
-                )
-                advice = advise(road_class, rs)
+                advice = advise(road_class, region_set(ego, left, right))
                 assert advice.lane_change == change
                 usable = []
                 if ego:
@@ -271,34 +238,6 @@ def test_criterion_7_policy_table():
                 if change == "permitted":
                     usable.extend(lane for lane, on in (("left", left), ("right", right)) if on)
                 assert list(advice.usable_lanes) == usable
-
-
-class _CaptureSink:
-    def __init__(self):
-        self.docs = {}
-
-    def deliver(self, frame_id, document):
-        self.docs[frame_id] = document
-
-    def close(self):
-        pass
-
-
-def _serve_in_thread(cfg):
-    box: dict = {}
-    ready = threading.Event()
-
-    def run():
-        box["stats"] = serve(
-            "127.0.0.1:0",
-            cfg,
-            bound_callback=lambda port: (box.__setitem__("port", port), ready.set()),
-        )
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10.0)
-    return thread, box
 
 
 def test_criterion_8_throughput_and_deployment_identity():
@@ -310,24 +249,11 @@ def test_criterion_8_throughput_and_deployment_identity():
         assert stats.throughput_fps >= 20.0, f"{stats.throughput_fps:.1f} fps"
 
         frames = list(gen_source("6x640x480@0.01", seed=17))
-        in_process = _CaptureSink()
+        in_process = CaptureSink()
         run_pipeline(frames, in_process, PipelineConfig())
 
-        thread, box = _serve_in_thread(PipelineConfig())
-        client = PipelineClient(f"127.0.0.1:{box['port']}")
-        try:
-            over_wire = {}
-            for f in frames:
-                client.send_mask(f.frame_id, f.mask, f.road_class)
-                reply = client.recv_regions()
-                assert reply is not None
-                over_wire[reply.frame_id] = reply.payload.document
-            client.finish_sending()
-            assert client.recv_regions() is None
-        finally:
-            client.close()
-        thread.join(10.0)
-        assert over_wire == in_process.docs
+        over_wire, _ = serve_frames(frames, PipelineConfig())
+        assert over_wire == dict(in_process.delivered)
         print(f"  (sustained {stats.throughput_fps:.1f} fps)")
 
 

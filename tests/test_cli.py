@@ -14,10 +14,10 @@ import pytest
 
 from lanespace import __version__, cli, pipeline
 from lanespace.cli import main
-from lanespace.core import ClassId, RoadClass, SegmentationMask
+from lanespace.core import RoadClass, SegmentationMask
 from lanespace.netpbm import write_mask
 from lanespace.pipeline import PipelineClient, encode_frame, make_source, mask_frame
-from test_pipeline import small_frame, stalled_frame_bytes
+from conftest import CaptureSink, small_frame, stalled_frame_bytes, three_lane_mask
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,12 +31,8 @@ def parse_ppm(path):
 
 
 def rect_mask(tmp_path, name="frame.pgm"):
-    grid = np.zeros((480, 640), dtype=np.uint8)
-    grid[200:480, 40:180] = int(ClassId.OTHER_LANES)
-    grid[200:480, 240:400] = int(ClassId.EGO_LANE)
-    grid[200:480, 460:600] = int(ClassId.OTHER_LANES)
     path = tmp_path / name
-    write_mask(path, SegmentationMask(grid))
+    write_mask(path, three_lane_mask())
     return path
 
 
@@ -375,20 +371,9 @@ def test_run_with_a_bad_source_leaves_no_sink_directory(tmp_path, capsys, source
     assert not out.exists()
 
 
-class RecordingSink:
-    def __init__(self):
-        self.closed = False
-
-    def deliver(self, frame_id, document):
-        pass
-
-    def close(self):
-        self.closed = True
-
-
 @pytest.mark.parametrize("sink_fails", [False, True])
 def test_run_closes_the_sink_of_a_served_pipeline(tmp_path, monkeypatch, sink_fails):
-    sink = RecordingSink()
+    sink = CaptureSink()
     if sink_fails:
         def refuse(frame_id, document):
             raise OSError("disk full")

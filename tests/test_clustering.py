@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lanespace.clustering import NOISE, ClusterParams, _set_bits, dbscan_lattice
 from lanespace.core import ClassId
 from lanespace.scenes import generate, sample_spec
-from oracles import dbscan, dbscan_bruteforce, downsample, oracle_labels
+from oracles import dbscan, dbscan_bruteforce, downsample, lattice_labels, oracle_labels
 
 
 def partition_of(labels: np.ndarray) -> tuple[frozenset, frozenset]:
@@ -166,15 +166,6 @@ LATTICE_EPS = (
     1e9,
     math.inf,
 )
-
-
-def lattice_labels(grid: np.ndarray, params: ClusterParams, codes=(True,)) -> np.ndarray:
-    """`dbscan_lattice`'s spans painted into a label image (NOISE elsewhere),
-    code g's grid as rows g * H to g * H + H - 1; a boolean grid by default."""
-    image = np.full((len(codes) * len(grid), grid.shape[1]), NOISE, dtype=np.int64)
-    for label, y, first, last in zip(*dbscan_lattice(grid, params, codes)):
-        image[y, first : last + 1] = label
-    return image
 
 
 def stack_labels(images: list[np.ndarray]) -> np.ndarray:

@@ -20,49 +20,17 @@ from lanespace.regions import LANE_EGO, DrivableRegion
 from oracles import (
     clip_intersection,
     convex_hull,
+    hull_vertex_mask,
     is_convex_ccw,
     point_in_convex,
+    random_convex,
     roll_area,
     roll_edge_sides,
     roll_moments,
+    square,
 )
 
-UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
-def square(x0, y0, side):
-    return np.array(
-        [[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]],
-        dtype=np.float64,
-    )
-
-
-def brute_hull_vertices(pts: np.ndarray) -> set[tuple[float, float]]:
-    """A point is a hull vertex unless strictly inside a triangle of others."""
-    n = len(pts)
-    keep: set[tuple[float, float]] = set()
-    triangles = np.array(list(itertools.combinations(range(n), 3)))
-    for i in range(n):
-        tri = triangles[(triangles != i).all(axis=1)]
-        a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-        p = pts[i]
-        s1 = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
-        s2 = (c[:, 0] - b[:, 0]) * (p[1] - b[:, 1]) - (c[:, 1] - b[:, 1]) * (p[0] - b[:, 0])
-        s3 = (a[:, 0] - c[:, 0]) * (p[1] - c[:, 1]) - (a[:, 1] - c[:, 1]) * (p[0] - c[:, 0])
-        strictly_inside = ((s1 > 0) & (s2 > 0) & (s3 > 0)) | (
-            (s1 < 0) & (s2 < 0) & (s3 < 0)
-        )
-        if not strictly_inside.any():
-            keep.add((float(p[0]), float(p[1])))
-    return keep
-
-
-def random_convex(rng: np.random.Generator, n: int = 10, scale: float = 20.0, shift=(0.0, 0.0)):
-    while True:
-        pts = rng.uniform(0, scale, (n, 2)) + np.asarray(shift)
-        hull = convex_hull(pts)
-        if hull is not None:
-            return hull
+UNIT_SQUARE = square(0.0, 0.0, 1.0)
 
 
 finite_points = st.lists(
@@ -98,7 +66,7 @@ def test_hull_matches_brute_force_on_seeded_sets():
         pts = rng.uniform(0, 100, (int(rng.integers(4, 31)), 2))
         hull = convex_hull(pts)
         assert hull is not None
-        assert {tuple(v) for v in hull} == brute_hull_vertices(pts)
+        assert {tuple(v) for v in hull} == {tuple(v) for v in pts[hull_vertex_mask(pts)]}
 
 
 def test_hull_prefilter_path_on_dense_lattice():

@@ -4,20 +4,19 @@ import json
 import socket
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from lanespace.core import ClassId, RoadClass, SegmentationMask
+from lanespace.core import RoadClass, SegmentationMask
 from lanespace.netpbm import write_mask
 from lanespace import pipeline
 from lanespace.pipeline import (
-    HEADER_SIZE,
     MAGIC,
     MSG_MASK,
     MSG_REGIONS,
-    VERSION,
+    FrameMessage,
+    MaskPayload,
     PipelineClient,
     PipelineConfig,
     ProtocolError,
@@ -33,22 +32,19 @@ from lanespace.pipeline import (
     read_road_class,
     read_wire_frame,
     run_pipeline,
-    serve,
     socket_source,
 )
 from lanespace.regions import ExtractionConfig
 from lanespace.scenes import generate, sample_spec
-
-
-class CaptureSink:
-    def __init__(self):
-        self.delivered = []
-
-    def deliver(self, frame_id, document):
-        self.delivered.append((frame_id, document))
-
-    def close(self):
-        pass
+from conftest import (
+    CaptureSink,
+    header_announcing,
+    serve_frames,
+    small_frame,
+    stalled_frame_bytes,
+    start_server,
+    traced_peak,
+)
 
 
 class SlowSink(CaptureSink):
@@ -59,15 +55,6 @@ class SlowSink(CaptureSink):
     def deliver(self, frame_id, document):
         time.sleep(self.delay_s)
         super().deliver(frame_id, document)
-
-
-def small_frame(frame_id, seed=0):
-    rng = np.random.default_rng(seed + frame_id)
-    grid = np.zeros((64, 64), dtype=np.uint8)
-    x = int(rng.integers(4, 28))
-    grid[20:60, x : x + 20] = int(ClassId.EGO_LANE)
-    grid[20:60, x + 28 : x + 36] = int(ClassId.OTHER_LANES)
-    return SourceFrame(frame_id, RoadClass.HIGHWAY, SegmentationMask(grid))
 
 
 FAST_CFG = PipelineConfig(extraction=ExtractionConfig(downsample_factor=1))
@@ -336,53 +323,13 @@ def test_pipeline_config_takes_integers_for_its_real_values():
 # --- served deployment ------------------------------------------------------
 
 
-def start_server(cfg=None):
-    port_box: list[int] = []
-    ready = threading.Event()
-    result: dict = {}
-
-    def run():
-        def on_bound(port):
-            port_box.append(port)
-            ready.set()
-
-        try:
-            result["stats"] = serve("127.0.0.1:0", cfg, bound_callback=on_bound)
-        except Exception as e:  # surfaces in the test thread
-            result["error"] = e
-            ready.set()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10.0)
-    if "error" in result:
-        raise result["error"]
-    return thread, port_box[0], result
-
-
 def test_loopback_answers_match_in_process_results():
     frames = list(gen_source("4x320x240@0.005", seed=21))
     sink = CaptureSink()
     run_pipeline(frames, sink, PipelineConfig())
-    expected = dict(sink.delivered)
-
-    thread, port, result = start_server(PipelineConfig())
-    client = PipelineClient(f"127.0.0.1:{port}")
-    try:
-        answers = {}
-        for f in frames:
-            client.send_mask(f.frame_id, f.mask, f.road_class)
-            reply = client.recv_regions()
-            assert reply is not None
-            answers[reply.frame_id] = reply.payload.document
-        client.finish_sending()
-        assert client.recv_regions() is None
-    finally:
-        client.close()
-    thread.join(10.0)
-    assert answers == expected
-    assert result["stats"].frames_processed == 4
-    assert result["stats"].errors == 0
+    answers, stats = serve_frames(frames, PipelineConfig())
+    assert answers == dict(sink.delivered)
+    assert (stats.frames_processed, stats.errors) == (4, 0)
 
 
 def test_a_served_frame_is_let_go_before_the_next_is_read():
@@ -399,14 +346,13 @@ def test_a_served_frame_is_let_go_before_the_next_is_read():
     try:
         client.conn.sendall(frames[0])  # untraced: allocations made once, on first use
         assert client.recv_regions() is not None
-        tracemalloc.start()
-        try:
+
+        def the_rest():
             for frame in frames[1:]:
                 client.conn.sendall(frame)
                 assert client.recv_regions() is not None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(the_rest)
         client.finish_sending()
         thread.join(10.0)
     finally:
@@ -432,10 +378,6 @@ def test_malformed_wire_frame_closes_the_connection():
     assert leftover == b""
     assert result["stats"].frames_processed == 0
     assert result["stats"].errors == 1
-
-
-def header_announcing(magic, msg_type, payload_len):
-    return magic + bytes([VERSION, msg_type]) + (0).to_bytes(4, "big") + payload_len.to_bytes(4, "big")
 
 
 def test_a_bad_header_is_refused_before_its_payload_arrives():
@@ -467,18 +409,6 @@ def test_the_client_refuses_a_mask_header_before_its_payload_arrives():
             finally:
                 client.close()
     assert time.monotonic() - t0 < 1.0
-
-
-def stalled_frame_bytes(stall):
-    """The bytes of one mask frame up to where its sender stalls or closes."""
-    f = small_frame(0)
-    frame = encode_frame(mask_frame(f.frame_id, f.mask, f.road_class))
-    ends = {
-        "inside the header": HEADER_SIZE // 2,
-        "after the header": HEADER_SIZE,
-        "inside the payload": len(frame) // 2,
-    }
-    return frame[: ends[stall]]
 
 
 @pytest.mark.parametrize("stall", ["after the header", "inside the payload"])
@@ -517,6 +447,28 @@ def test_a_read_timeout_is_one_source_failure_that_names_it(stall):
     assert len(items) == 1
     assert isinstance(items[0], SourceFailure)
     assert items[0].reason == "idle: no bytes from the peer for 0.2 s"
+
+
+def test_a_mask_that_is_not_a_mask_is_one_failure_and_the_next_is_answered():
+    # mask_frame refuses both masks, so their payloads are built directly: a
+    # pixel of code 3, and a width of 0.
+    frames = [
+        FrameMessage(0, MaskPayload(2, 2, RoadClass.HIGHWAY, bytes([0, 1, 2, 3]))),
+        FrameMessage(1, MaskPayload(0, 5, RoadClass.HIGHWAY, b"")),
+        mask_frame(2, small_frame(2).mask, RoadClass.HIGHWAY),
+    ]
+    sink = CaptureSink()
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(b"".join(map(encode_frame, frames)))
+        a.shutdown(socket.SHUT_WR)
+        stats = run_pipeline(socket_source(b), sink, FAST_CFG)
+    assert [fid for fid, _ in sink.delivered] == [2]
+    assert (stats.frames_processed, stats.errors) == (1, 2)
+    assert stats.failures == [
+        "frame 0: mask contains invalid class code 3",
+        "frame 1: mask must be a 2-D grid, got shape (5, 0)",
+    ]
 
 
 def test_the_tcp_sink_closes_its_socket():

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from lanespace.core import RoadClass
@@ -11,28 +10,8 @@ from lanespace.policy import (
     NavigationAdvice,
     advise,
 )
-from lanespace.regions import (
-    LANE_EGO,
-    LANE_LEFT,
-    LANE_RIGHT,
-    DrivableRegion,
-    RegionSet,
-)
-
-
-def region(lane, x=0.0):
-    ring = np.array(
-        [[x, 0.0], [x + 2.0, 0.0], [x + 2.0, 2.0], [x, 2.0]], dtype=np.float64
-    )
-    return DrivableRegion.from_pieces(lane, [ring])
-
-
-def make_set(ego=False, left=False, right=False):
-    return RegionSet(
-        ego=region(LANE_EGO, 10.0) if ego else None,
-        left=region(LANE_LEFT, 0.0) if left else None,
-        right=region(LANE_RIGHT, 20.0) if right else None,
-    )
+from lanespace.regions import LANE_EGO, LANE_LEFT, LANE_RIGHT, RegionSet
+from oracles import region_set, square_region
 
 
 ALL_PRESENCE = list(itertools.product([False, True], repeat=3))
@@ -59,7 +38,7 @@ SIDES_MAY_BE_USABLE = {RoadClass.HIGHWAY: True}
 @pytest.mark.parametrize("road_class", list(EXPECTED_CHANGE))
 @pytest.mark.parametrize("ego,left,right", ALL_PRESENCE)
 def test_full_decision_table(road_class, ego, left, right):
-    advice = advise(road_class, make_set(ego, left, right))
+    advice = advise(road_class, region_set(ego, left, right))
     assert advice.lane_change == EXPECTED_CHANGE[road_class]
     assert advice.rationale == EXPECTED_RATIONALE[road_class]
 
@@ -77,7 +56,7 @@ def test_full_decision_table(road_class, ego, left, right):
 @pytest.mark.parametrize("road_class", list(EXPECTED_CHANGE))
 @pytest.mark.parametrize("ego,left,right", ALL_PRESENCE)
 def test_usable_lanes_never_exceed_present_lanes(road_class, ego, left, right):
-    rs = make_set(ego, left, right)
+    rs = region_set(ego, left, right)
     advice = advise(road_class, rs)
     present = {r.lane for r in rs.present()}
     assert set(advice.usable_lanes) <= present
@@ -85,15 +64,15 @@ def test_usable_lanes_never_exceed_present_lanes(road_class, ego, left, right):
 
 @pytest.mark.parametrize("road_class", list(EXPECTED_CHANGE))
 def test_ego_is_usable_exactly_when_present(road_class):
-    with_ego = advise(road_class, make_set(ego=True))
-    without = advise(road_class, make_set(ego=False, left=True, right=True))
+    with_ego = advise(road_class, region_set(ego=True))
+    without = advise(road_class, region_set(ego=False, left=True, right=True))
     assert LANE_EGO in with_ego.usable_lanes
     assert LANE_EGO not in without.usable_lanes
 
 
 def test_side_lanes_unusable_unless_change_is_permitted():
     for road_class, change in EXPECTED_CHANGE.items():
-        advice = advise(road_class, make_set(ego=True, left=True, right=True))
+        advice = advise(road_class, region_set(ego=True, left=True, right=True))
         sides = {LANE_LEFT, LANE_RIGHT} & set(advice.usable_lanes)
         if change == CHANGE_PERMITTED:
             assert sides == {LANE_LEFT, LANE_RIGHT}
@@ -103,15 +82,15 @@ def test_side_lanes_unusable_unless_change_is_permitted():
 
 def test_unassigned_regions_are_never_usable():
     rs = RegionSet(
-        ego=region(LANE_EGO),
-        unassigned=(region("unassigned", 40.0),),
+        ego=square_region(LANE_EGO, 0.0, 2.0),
+        unassigned=(square_region("unassigned", 40.0, 2.0),),
     )
     advice = advise(RoadClass.HIGHWAY, rs)
     assert advice.usable_lanes == (LANE_EGO,)
 
 
 def test_advice_dict_shape():
-    advice = advise(RoadClass.HIGHWAY, make_set(ego=True, right=True))
+    advice = advise(RoadClass.HIGHWAY, region_set(ego=True, right=True))
     payload = advice.as_dict()
     assert list(payload.keys()) == ["usable_lanes", "lane_change", "rationale"]
     assert payload["usable_lanes"] == [LANE_EGO, LANE_RIGHT]

@@ -1,6 +1,5 @@
 import socket
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from lanespace.pipeline import (
     mask_frame,
     read_wire_frame,
 )
+from conftest import header_announcing, traced_peak
 
 
 def tiny_mask():
@@ -153,13 +153,7 @@ def test_mask_payload_shorter_than_fixed_fields():
 def test_mask_byte_count_mismatch():
     # Claim 3x3 but ship 4 pixels; header length stays consistent.
     body = (3).to_bytes(2, "big") + (3).to_bytes(2, "big") + bytes([0]) + bytes(4)
-    raw = (
-        MAGIC
-        + bytes([VERSION, MSG_MASK])
-        + (0).to_bytes(4, "big")
-        + len(body).to_bytes(4, "big")
-        + body
-    )
+    raw = header_announcing(MAGIC, MSG_MASK, len(body)) + body
     with pytest.raises(ProtocolError, match="mask needs 9 bytes, got 4"):
         decode_frame(raw, MSG_MASK)
 
@@ -242,7 +236,7 @@ _WIRE_PIECES = st.one_of(
             good_frame_bytes(),
             encode_frame(FrameMessage(2, RegionPayload(b"{}"))),
             good_frame_bytes()[:HEADER_SIZE],
-            MAGIC + bytes([VERSION, MSG_REGIONS]) + bytes(4) + (1 << 26).to_bytes(4, "big"),
+            header_announcing(MAGIC, MSG_REGIONS, 1 << 26),
         ]
     ),
 )
@@ -291,16 +285,6 @@ def test_encode_refuses_a_payload_every_reader_refuses(kind):
 # --- memory of a stream read ------------------------------------------------
 
 
-def traced_peak(read):
-    """read()'s result and the tracemalloc peak, in bytes, while it ran."""
-    tracemalloc.start()
-    try:
-        out = read()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_a_mask_read_and_its_mask_hold_the_frame_about_twice():
     mask = SegmentationMask(np.ones((480, 640), dtype=np.uint8))
     frame = encode_frame(mask_frame(1, mask, RoadClass.HIGHWAY))
@@ -343,7 +327,7 @@ def test_a_column_major_mask_is_sent_in_raster_order():
 
 
 def test_memory_follows_the_bytes_that_arrive_not_the_announced_length():
-    header = MAGIC + bytes([VERSION, MSG_MASK]) + bytes(4) + _MAX_PAYLOAD.to_bytes(4, "big")
+    header = header_announcing(MAGIC, MSG_MASK, _MAX_PAYLOAD)
     a, b = socket.socketpair()
     with a, b:
         b.settimeout(10.0)

@@ -16,7 +16,14 @@ from lanespace.core import ClassId, RoadClass, SegmentationMask
 from lanespace.geometry import EPS_AREA
 from lanespace.pipeline import SourceFrame, frame_document
 from lanespace.regions import LANE_EGO, ExtractionConfig, document_bytes, extract_regions
-from oracles import clip_intersection, convex_hull, is_convex_ccw, point_in_convex
+from oracles import (
+    clip_intersection,
+    convex_hull,
+    is_convex_ccw,
+    point_in_convex,
+    roll_area,
+    roll_moments,
+)
 
 
 @st.composite
@@ -37,15 +44,6 @@ configs = st.builds(
 )
 
 
-def shoelace(piece: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed area and centroid of a ring, by the textbook formulas."""
-    x, y = piece[:, 0], piece[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = cross.sum() / 2.0
-    return area, np.array([((x + xn) * cross).sum(), ((y + yn) * cross).sum()]) / (6.0 * area)
-
-
 @given(block_masks(), configs)
 def test_pieces_of_different_regions_are_disjoint(mask, cfg):
     regions = extract_regions(mask, cfg).present()
@@ -56,7 +54,7 @@ def test_pieces_of_different_regions_are_disjoint(mask, cfg):
                 for pb in b.pieces:
                     inter = clip_intersection(pa, pb)
                     if inter is not None:
-                        overlap += abs(shoelace(inter)[0])
+                        overlap += roll_area(inter)
             assert overlap <= 1e-6 * min(a.area, b.area)
 
 
@@ -66,7 +64,7 @@ def test_every_piece_is_a_convex_ccw_ring_with_area(mask, cfg):
         assert region.pieces
         for piece in region.pieces:
             assert is_convex_ccw(piece)
-            assert shoelace(piece)[0] > EPS_AREA
+            assert roll_area(piece) > EPS_AREA
 
 
 @given(block_masks(), configs)
@@ -81,7 +79,7 @@ def test_every_vertex_lies_in_the_image(mask, cfg):
 @given(block_masks(), configs)
 def test_a_region_has_the_area_and_centroid_of_its_pieces(mask, cfg):
     for region in extract_regions(mask, cfg).present():
-        moments = [shoelace(piece) for piece in region.pieces]
+        moments = [roll_moments(piece) for piece in region.pieces]
         area = sum(a for a, _ in moments)
         centroid = sum(a * c for a, c in moments) / area
         assert np.isclose(region.area, area, rtol=1e-9, atol=0.0)

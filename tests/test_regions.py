@@ -16,6 +16,7 @@ from lanespace.geometry import (
     pieces_area,
     polygon_area,
 )
+from lanespace.pipeline import SourceFrame, frame_document
 from lanespace.policy import advise
 from lanespace.regions import (
     LANE_EGO,
@@ -32,25 +33,8 @@ from lanespace.regions import (
     resolve_overlaps,
 )
 from lanespace.scenes import generate, sample_spec
-from oracles import (
-    clip_intersection,
-    convex_hull,
-    dbscan,
-    downsample,
-    extract_points,
-    stack_spans,
-)
-
-
-def square(x0, y0, side):
-    return np.array(
-        [[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]],
-        dtype=np.float64,
-    )
-
-
-def region_at(x, area_side=1.0, lane=LANE_UNASSIGNED):
-    return DrivableRegion.from_pieces(lane, [square(x, 0.0, area_side)])
+from conftest import three_lane_mask
+from oracles import convex_hull, dbscan, downsample, extract_points, square, square_region, stack_spans
 
 
 def paint(grid, x0, x1, y0, y1, value):
@@ -155,9 +139,9 @@ def test_overlap_scan_never_goes_back(monkeypatch):
 
 
 def test_sides_split_on_centroid_x():
-    ego = region_at(10.0, lane=LANE_EGO)
-    west = region_at(2.0)
-    east = region_at(20.0)
+    ego = square_region(LANE_EGO, 10.0)
+    west = square_region(LANE_UNASSIGNED, 2.0)
+    east = square_region(LANE_UNASSIGNED, 20.0)
     left, right, unassigned = assign_sides([west, east], ego)
     assert left is not None and left.lane == LANE_LEFT
     assert right is not None and right.lane == LANE_RIGHT
@@ -167,17 +151,17 @@ def test_sides_split_on_centroid_x():
 
 
 def test_equal_centroid_x_goes_right():
-    ego = region_at(10.0, lane=LANE_EGO)
-    twin = region_at(10.0)
+    ego = square_region(LANE_EGO, 10.0)
+    twin = square_region(LANE_UNASSIGNED, 10.0)
     left, right, _ = assign_sides([twin], ego)
     assert left is None
     assert right is not None
 
 
 def test_biggest_region_wins_the_side():
-    ego = region_at(0.0, lane=LANE_EGO)
-    small = region_at(5.0, area_side=1.0)
-    big = region_at(9.0, area_side=3.0)
+    ego = square_region(LANE_EGO, 0.0)
+    small = square_region(LANE_UNASSIGNED, 5.0)
+    big = square_region(LANE_UNASSIGNED, 9.0, 3.0)
     left, right, unassigned = assign_sides([small, big], ego)
     assert left is None
     assert right is not None and abs(right.area - 9.0) <= 1e-9
@@ -185,22 +169,14 @@ def test_biggest_region_wins_the_side():
 
 
 def test_without_ego_everything_is_unassigned():
-    west = region_at(2.0)
-    east = region_at(20.0)
+    west = square_region(LANE_UNASSIGNED, 2.0)
+    east = square_region(LANE_UNASSIGNED, 20.0)
     left, right, unassigned = assign_sides([west, east], None)
     assert left is None and right is None
     assert [r.lane for r in unassigned] == [LANE_UNASSIGNED, LANE_UNASSIGNED]
 
 
 # --- extract_regions --------------------------------------------------------
-
-
-def three_lane_mask(width=640, height=480):
-    grid = np.zeros((height, width), dtype=np.uint8)
-    paint(grid, 40, 180, 200, 480, int(ClassId.OTHER_LANES))
-    paint(grid, 240, 400, 200, 480, int(ClassId.EGO_LANE))
-    paint(grid, 460, 600, 200, 480, int(ClassId.OTHER_LANES))
-    return SegmentationMask(grid)
 
 
 def test_all_background_mask_yields_absent_regions():
@@ -216,16 +192,23 @@ def test_three_lane_mask_recovers_all_sides():
     assert rs.ego.lane == LANE_EGO
 
 
+def test_an_ego_inside_the_hull_of_the_other_lanes_cedes_every_piece():
+    # Other-lane pixels in a C around an ego block: the C's hull covers the
+    # ego's, so the ego cedes all of it and no ego region is left.
+    grid = np.zeros((60, 60), dtype=np.uint8)
+    paint(grid, 5, 12, 5, 55, int(ClassId.OTHER_LANES))
+    paint(grid, 5, 55, 5, 12, int(ClassId.OTHER_LANES))
+    paint(grid, 5, 55, 48, 55, int(ClassId.OTHER_LANES))
+    paint(grid, 24, 40, 22, 38, int(ClassId.EGO_LANE))
+    rs = extract_regions(SegmentationMask(grid), ExtractionConfig(downsample_factor=1))
+    assert rs.ego is None and rs.left is None and rs.right is None
+    assert [r.lane for r in rs.unassigned] == [LANE_UNASSIGNED]
+
+
 def sample_masks():
     yield three_lane_mask()
     for seed in range(3):
         yield generate(sample_spec(seed, width=320, height=240, noise_rate=0.01))[0]
-
-
-def frame_document(mask):
-    rs = extract_regions(mask, ExtractionConfig(downsample_factor=2))
-    advice = advise(RoadClass.HIGHWAY, rs)
-    return document_bytes(build_document(3, RoadClass.HIGHWAY, rs, advice.as_dict()))
 
 
 @pytest.mark.parametrize("factor", [1, 2, 4])
@@ -395,8 +378,10 @@ def test_a_cluster_just_under_min_region_area_is_dropped(min_region_area, kept):
 
 
 def test_documents_are_byte_identical_across_runs():
+    cfg = ExtractionConfig(downsample_factor=2)
     for mask in sample_masks():
-        docs = [frame_document(mask) for _ in range(3)]
+        frame = SourceFrame(3, RoadClass.HIGHWAY, mask)
+        docs = [frame_document(frame, cfg)[1] for _ in range(3)]
         assert docs[0] == docs[1] == docs[2]
 
 

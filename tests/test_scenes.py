@@ -128,6 +128,15 @@ def test_invalid_specs_are_rejected(overrides):
         simple_spec(**overrides)
 
 
+def test_an_unknown_lane_role_is_refused_by_name():
+    lanes = (
+        LaneBand("middle", (20.0, 90.0), (80.0, 115.0), 80),
+        LaneBand(LANE_EGO, (120.0, 190.0), (130.0, 165.0), 80),
+    )
+    with pytest.raises(ValueError, match="invalid lane role 'middle'"):
+        simple_spec(lanes=lanes)
+
+
 def test_sampled_specs_are_valid_and_deterministic():
     for seed in range(12):
         spec = sample_spec(seed)

@@ -64,7 +64,7 @@ def test_every_piece_is_a_convex_ccw_ring_with_area(mask, cfg):
         assert region.pieces
         for piece in region.pieces:
             assert is_convex_ccw(piece)
-            assert roll_area(piece) > EPS_AREA
+            assert roll_moments(piece)[0] > EPS_AREA
 
 
 @given(block_masks(), configs)

@@ -83,6 +83,8 @@ def mask_frame(frame_id: int, mask: SegmentationMask, road_class: RoadClass) -> 
 
 def encode_frame(msg: FrameMessage) -> bytes:
     """One frame's bytes; a frame that every reader would refuse raises ValueError."""
+    if not 0 <= msg.frame_id <= 0xFFFFFFFF:
+        raise ValueError(f"frame id {msg.frame_id} is outside 0..4294967295")
     p = msg.payload
     if isinstance(p, MaskPayload):
         if len(p.mask_bytes) != p.width * p.height:

@@ -184,11 +184,12 @@ def _cluster_hulls(
     owner = np.empty(int(label.max()) + 1, dtype=np.int64)
     owner[label] = grid
     width = int(last.max()) + 1
-    # Spans of one cluster and row are disjoint, so sorting them by first
-    # also sorts them by last: a row's first span holds its leftmost pixel
-    # and its last span its rightmost.
+    # Spans of one cluster and row are disjoint, so the keys are unique: every
+    # sort kind gives one order, and the stable one is the fastest. Sorting
+    # them by first also sorts them by last: a row's first span holds its
+    # leftmost pixel and its last span its rightmost.
     key = (label * height + y) * width + first
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable")
     row = key[order] // width
     fresh = np.ones(len(order) + 1, dtype=bool)
     fresh[1:-1] = row[1:] != row[:-1]

@@ -273,7 +273,7 @@ def test_class_codes_give_the_spans_of_their_bool_stack(factor, eps):
 @pytest.mark.parametrize(
     "length", [0, 13, 63, 64, 65, 127, 128, 129, 1 << 16, (1 << 16) + 5, 616_323]
 )
-def test_sparse_flatnonzero_is_flatnonzero(length):
+def test_set_bits_is_flatnonzero_of_the_unpacked_plane(length):
     # `_set_bits` is np.flatnonzero of a plane's bits, for sparse planes: it
     # unpacks only the bytes that hold a set bit.
     rng = np.random.default_rng(length)

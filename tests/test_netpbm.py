@@ -23,6 +23,31 @@ def test_header_comments_and_whitespace(tmp_path):
     assert mask.data.ravel().tolist() == list(body)
 
 
+_RASTER = bytes([0, 1, 2, 1, 0, 2])
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"P53 2 255\n",  # no whitespace after the magic
+        b"P5\t3\t2\t255\t",
+        b"P5\r\n3\r\n2\r\n255\n",
+        b"P5\n3#c\n 2 255\n",  # a comment ends a field only with whitespace after it
+        b"P5\n3 2\n25#x\n5\n",  # a comment inside a field is deleted
+    ],
+)
+def test_header_fields_and_separators(tmp_path, head):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(head + _RASTER)
+    assert read_mask(path).data.tolist() == [[0, 1, 2], [1, 0, 2]]
+
+
+def test_bytes_after_the_raster_are_ignored(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n3 2\n255\n" + _RASTER + b"\x07 more")
+    assert read_mask(path).data.tolist() == [[0, 1, 2], [1, 0, 2]]
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -33,6 +58,11 @@ def test_header_comments_and_whitespace(tmp_path):
         b"P5\n0 2\n255\n",  # zero dimension
         b"P5\n2 2\n255\n" + bytes([0, 1, 2, 9]),  # invalid class code
         b"P5\n2 2",  # truncated header
+        b"P5\n3#c\n2 255\n" + _RASTER,  # a 32x255 header whose maxval runs into the raster
+        b"P5\n3 2\n255#c\n" + _RASTER,  # the raster continues the maxval field
+        b"P5\n3 2\n255",  # no raster
+        b"P5\n3 2\n255\r\n" + _RASTER,  # one whitespace byte ends the header: LF is code 10
+        b"P5\n3 2\n255 #c\n" + _RASTER,  # the comment is raster: '#' is code 35
     ],
 )
 def test_bad_masks_are_rejected(tmp_path, raw):

@@ -268,6 +268,17 @@ def test_encode_refuses_a_mask_side_the_header_cannot_carry():
         encode_frame(mask_frame(0, mask, RoadClass.UNKNOWN))
 
 
+@pytest.mark.parametrize("frame_id", [-1, 2**32])
+@pytest.mark.parametrize(
+    "payload",
+    [MaskPayload(2, 2, RoadClass.HIGHWAY, bytes(4)), RegionPayload(b"{}")],
+    ids=["mask", "region"],
+)
+def test_encode_refuses_a_frame_id_the_header_cannot_carry(frame_id, payload):
+    with pytest.raises(ValueError, match="frame id"):
+        encode_frame(FrameMessage(frame_id, payload))
+
+
 # bytes(n) is zero-filled by calloc, so these untouched payloads cost address
 # space, not memory.
 _OVERSIZED = {

@@ -17,7 +17,7 @@ from .clustering import check_integer
 from .core import ClassId, RoadClass, SegmentationMask, road_class_from_name, road_class_name
 from .geometry import rasterize_pieces
 from .losses import check_gradients
-from .metrics import ConfusionCounts, accuracy, confusion, iou, miou
+from .metrics import N_CLASSES, accuracy, confusion, iou, miou
 from .netpbm import read_mask, write_mask, write_rgb
 from .pipeline import (
     PipelineConfig,
@@ -31,7 +31,7 @@ from .pipeline import (
     serve,
 )
 from .regions import LANE_EGO, LANE_LEFT, LANE_RIGHT, LANE_UNASSIGNED, RegionSet
-from .scenes import generate, sample_spec
+from .scenes import SceneOracle, SceneSpec, generate, sample_spec
 
 GRADIENT_TOLERANCE = 1e-5
 
@@ -132,18 +132,64 @@ def cmd_run(args) -> int:
     return 1 if stats.errors else 0
 
 
-def _document_to_mask(doc_path: Path, width: int, height: int) -> SegmentationMask:
+def _document_to_mask(doc_path: Path, width: int, height: int) -> tuple[SegmentationMask, dict[str, np.ndarray]]:
+    """The mask a region document paints, and the pixels each lane covers."""
     grid = np.zeros((height, width), dtype=np.uint8)
+    lanes: dict[str, np.ndarray] = {}
     try:
         doc = json.loads(doc_path.read_text())
         for region in doc["regions"]:
             pieces = [np.asarray(p, dtype=np.float64) for p in region["pieces"]]
             covered = rasterize_pieces(pieces, width, height)
             grid[covered] = ClassId.EGO_LANE if region["lane"] == LANE_EGO else ClassId.OTHER_LANES
+            lanes[region["lane"]] = covered | lanes.get(region["lane"], False)
     # Input that is not a region document fails one of these steps, whichever it is.
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as e:
         raise ValueError(f"{doc_path}: not a region document: {type(e).__name__}: {e}") from None
-    return SegmentationMask(grid)
+    return SegmentationMask(grid), lanes
+
+
+class _SceneScore:
+    """Region documents scored against the exact geometry of their scenes."""
+
+    def __init__(self) -> None:
+        self.pooled: dict[str, np.ndarray] = {}  # lane role: pixels in [intersection, union]
+        self.pair_ious: list[float] = []  # one per (scene, lane), 0 for a lane that is missing
+        self.obstacles = np.zeros(2, dtype=np.int64)  # obstacle pixels, those reported drivable
+
+    def add(self, sidecar: Path, pred: SegmentationMask, lanes: dict[str, np.ndarray]) -> None:
+        """Score one document, when its mask's sidecar holds a scene spec ("lanes")."""
+        try:
+            raw = json.loads(sidecar.read_text())
+        except (OSError, ValueError):
+            return
+        if not (isinstance(raw, dict) and "lanes" in raw):
+            return
+        try:
+            spec = SceneSpec.from_dict(raw)
+        except ValueError as e:
+            raise ValueError(f"{sidecar}: not a scene spec: {e}") from None
+        if (spec.width, spec.height) != (pred.width, pred.height):
+            raise ValueError(f"{sidecar}: scene is {spec.width}x{spec.height}, its mask {pred.width}x{pred.height}")
+        oracle = SceneOracle(spec)
+        for role in oracle.roles():
+            truth, covered = oracle.lane_grid(role), lanes.get(role, False)
+            # A lane with no pixel (an obstacle over all of it) has no union; it scores 0.
+            counts = np.array([(truth & covered).sum(), max((truth | covered).sum(), 1)])
+            self.pooled[role] = self.pooled.get(role, 0) + counts
+            self.pair_ious.append(counts[0] / counts[1])
+        blocked = np.zeros(pred.data.shape, dtype=bool)
+        for x0, y0, x1, y1 in spec.obstacles:
+            blocked[y0:y1, x0:x1] = True
+        self.obstacles += [blocked.sum(), (blocked & (pred.data != ClassId.BACKGROUND)).sum()]
+
+    def report(self) -> dict[str, Any]:
+        return {
+            "lane_iou": {role: float(i / u) for role, (i, u) in self.pooled.items()},
+            "lane_iou_mean": float(np.mean(self.pair_ious)),
+            "obstacle_pixels": int(self.obstacles[0]),
+            "obstacle_pixels_drivable": int(self.obstacles[1]),
+        }
 
 
 def cmd_eval(args) -> int:
@@ -151,23 +197,25 @@ def cmd_eval(args) -> int:
     gt_files = sorted(gt_dir.glob("*.pgm"))
     if not gt_files:
         raise ValueError(f"no *.pgm files under {gt_dir}")
-    totals = ConfusionCounts.zero()
+    totals = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    scene = _SceneScore()
     pred_classes: list[int] = []
     gt_classes: list[int] = []
     for gt_path in gt_files:
         gt_mask = read_mask(gt_path)
         pred_pgm = pred_dir / gt_path.name
-        pred_doc = (pred_dir / gt_path.stem).with_suffix(".json")
+        pred_doc = pred_dir / f"{gt_path.stem}.json"
         if pred_pgm.exists():
             pred_mask = read_mask(pred_pgm)
             pred_rc = read_road_class(pred_pgm.with_suffix(".json"))
         elif pred_doc.exists():
-            pred_mask = _document_to_mask(pred_doc, gt_mask.width, gt_mask.height)
+            pred_mask, lanes = _document_to_mask(pred_doc, gt_mask.width, gt_mask.height)
             pred_rc = read_road_class(pred_doc)
+            scene.add(gt_path.with_suffix(".json"), pred_mask, lanes)
         else:
             raise ValueError(f"no prediction for {gt_path.name}")
         try:
-            totals = totals + confusion(pred_mask, gt_mask)
+            totals += confusion(pred_mask, gt_mask)
         except ValueError as e:  # only a mask prediction can have another shape
             raise ValueError(f"{pred_pgm}: {e}") from None
         gt_rc = read_road_class(gt_path.with_suffix(".json"))
@@ -181,6 +229,8 @@ def cmd_eval(args) -> int:
         accuracy=accuracy(pred_classes, gt_classes) if gt_classes else None,
         n_images=len(gt_files),
     )
+    if scene.pair_ious:
+        report["scene"] = scene.report()
     _emit(report, args.out)
     return 0
 

@@ -1,7 +1,6 @@
-"""Segmentation and road-class evaluation: confusion counts, IoU, mIoU, accuracy."""
+"""Segmentation and road-class evaluation: confusion table, IoU, mIoU, accuracy."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,60 +10,29 @@ from .core import SegmentationMask
 N_CLASSES = 3
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Per-class true positive, false positive, false negative pixel counts."""
-
-    tp: np.ndarray
-    fp: np.ndarray
-    fn: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("tp", "fp", "fn"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            if arr.shape != (N_CLASSES,) or (arr < 0).any():
-                raise ValueError(f"{name} must be {N_CLASSES} counts >= 0")
-            object.__setattr__(self, name, arr)
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn
-        )
-
-    @classmethod
-    def zero(cls) -> "ConfusionCounts":
-        z = np.zeros(N_CLASSES, dtype=np.int64)
-        return cls(z, z.copy(), z.copy())
-
-
-def confusion(pred: SegmentationMask, gt: SegmentationMask) -> ConfusionCounts:
-    """Single-pass confusion: pixel (pred=a, gt=b) is TP_a when a == b, else FP_a and FN_b."""
+def confusion(pred: SegmentationMask, gt: SegmentationMask) -> np.ndarray:
+    """The int64 N_CLASSES x N_CLASSES table whose [g, p] entry counts the
+    pixels of ground-truth class g predicted as class p."""
     if pred.data.shape != gt.data.shape:
         raise ValueError(
             f"shape mismatch: pred {pred.data.shape} vs gt {gt.data.shape}"
         )
-    table = np.bincount(
+    return np.bincount(
         gt.data.ravel().astype(np.int64) * N_CLASSES + pred.data.ravel(),
         minlength=N_CLASSES * N_CLASSES,
-    ).reshape(N_CLASSES, N_CLASSES)  # rows gt, cols pred
-    tp = np.diag(table).copy()
-    fp = table.sum(axis=0) - tp
-    fn = table.sum(axis=1) - tp
-    return ConfusionCounts(tp, fp, fn)
+    ).reshape(N_CLASSES, N_CLASSES)
 
 
-def iou(counts: ConfusionCounts, class_id: int) -> float | None:
+def iou(table: np.ndarray, class_id: int) -> float | None:
     """TP / (FP + TP + FN); None when the class is absent (denominator 0)."""
     c = int(class_id)
-    denom = int(counts.fp[c] + counts.tp[c] + counts.fn[c])
-    if denom == 0:
-        return None
-    return float(counts.tp[c]) / denom
+    denom = int(table[c].sum() + table[:, c].sum() - table[c, c])
+    return None if denom == 0 else int(table[c, c]) / denom
 
 
-def miou(counts: ConfusionCounts) -> float:
+def miou(table: np.ndarray) -> float:
     """Unweighted mean IoU over the classes that are not absent."""
-    values = [v for c in range(N_CLASSES) if (v := iou(counts, c)) is not None]
+    values = [v for c in range(N_CLASSES) if (v := iou(table, c)) is not None]
     if not values:
         raise ValueError("mIoU undefined: every class is absent")
     return float(np.mean(values))

@@ -36,9 +36,9 @@ _MASK_HEAD = struct.Struct(">HHB")  # width, height, road_class
 HEADER_SIZE = _HEADER.size
 _MAX_PAYLOAD = 1 << 26
 _RECV_CHUNK = 1 << 16  # at most this much per recv, so memory follows the bytes that arrive
-# Seconds a served connection waits for the peer's next bytes (then its stream
-# ends in one SourceFailure) or to send a reply (then the run ends in one sink
-# failure); also the PipelineClient and tcp: sink socket timeout.
+# Seconds a served connection waits for a frame's first byte, then for the rest
+# of the frame (either wait ends its stream in one SourceFailure), or to send a
+# reply (then the run ends in one sink failure); also the client and sink timeout.
 IDLE_TIMEOUT_S = 30.0
 
 
@@ -233,11 +233,15 @@ def _parse_gen_spec(spec: str) -> tuple[int, int, int, float | None]:
     return count, width, height, noise
 
 
-def _recv(conn: socket.socket, n: int, chunks: list[bytes]) -> int:
+def _recv(conn: socket.socket, n: int, chunks: list[bytes], deadline: float | None) -> int:
     """Append n bytes from conn to chunks, or fewer if the stream ends first;
-    returns how many arrived."""
+    returns how many arrived. Each recv ends by the deadline, if there is one."""
     left = n
     while left:
+        if deadline is not None:
+            if (wait := deadline - time.monotonic()) <= 0:
+                raise TimeoutError
+            conn.settimeout(wait)
         chunk = conn.recv(min(left, _RECV_CHUNK))
         if not chunk:
             break
@@ -250,14 +254,24 @@ def read_wire_frame(conn: socket.socket, msg_type: int) -> FrameMessage | None:
     """One frame of msg_type from a stream socket, joined into one bytes
     object; None on clean end-of-stream. A bad header, or one of another
     message type, raises before its payload is read, so a stalled peer is
-    not awaited."""
+    not awaited. The socket's timeout bounds the wait for the frame's first
+    byte and then the whole frame, however its bytes come; it is restored."""
+    bound = conn.gettimeout()
     chunks: list[bytes] = []
-    got = _recv(conn, HEADER_SIZE, chunks)
-    if not got:
-        return None
-    if got < HEADER_SIZE:
-        raise ProtocolError("connection closed inside a header")
-    _recv(conn, _payload_length(b"".join(chunks), msg_type)[1], chunks)
+    try:
+        chunks.append(conn.recv(HEADER_SIZE))  # the wait for the frame's first byte
+        if not chunks[0]:
+            return None
+        rest = HEADER_SIZE - len(chunks[0])
+        deadline = None if bound is None else time.monotonic() + bound
+        if _recv(conn, rest, chunks, deadline) < rest:
+            raise ProtocolError("connection closed inside a header")
+        _recv(conn, _payload_length(b"".join(chunks), msg_type)[1], chunks, deadline)
+    except TimeoutError:
+        waited = "frame not complete within" if chunks else "no bytes from the peer for"
+        raise TimeoutError(f"{waited} {bound:g} s") from None
+    finally:
+        conn.settimeout(bound)
     return decode_frame(b"".join(chunks), msg_type)
 
 
@@ -271,8 +285,8 @@ def socket_source(conn: socket.socket) -> Iterator[SourceFrame | SourceFailure]:
         except ProtocolError as e:
             yield SourceFailure(f"protocol: {e}")
             return
-        except TimeoutError:
-            yield SourceFailure(f"idle: no bytes from the peer for {conn.gettimeout():g} s")
+        except TimeoutError as e:
+            yield SourceFailure(f"idle: {e}")
             return
         if msg is None:
             return
@@ -464,12 +478,12 @@ def serve(
 ) -> PipelineStats:
     """Answer one region frame per mask frame on a single accepted connection.
 
-    Returns when the client closes the stream. A malformed frame, or a peer
-    that sends nothing for IDLE_TIMEOUT_S (30 s) while a frame is awaited,
-    closes the connection and is counted in stats.errors. The same timeout
-    bounds each reply's send: a reply that cannot be sent in time, or a
-    sink that fails, ends the run as one failure in stats.errors, whose
-    reason starts with "sink: ".
+    Returns when the client closes the stream. A malformed frame, a peer that
+    sends nothing for IDLE_TIMEOUT_S (30 s) while a frame is awaited, or a
+    frame not complete that long after its first byte, closes the connection
+    and is counted in stats.errors. The same timeout bounds each reply's
+    send: a reply that cannot be sent in time, or a sink that fails, ends the
+    run as one failure in stats.errors, whose reason starts with "sink: ".
 
     Every document also goes to extra_sink, and to the sink open_sink makes
     once the address is bound, so that an address that cannot be bound

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import ClassId, RoadClass, SegmentationMask, road_class_name
+from .core import ClassId, RoadClass, SegmentationMask, road_class_from_name, road_class_name
 from .regions import LANE_EGO, LANE_LEFT, LANE_RIGHT
 
 _ROLE_ORDER = {LANE_LEFT: 0, LANE_EGO: 1, LANE_RIGHT: 2}
@@ -99,6 +99,23 @@ class SceneSpec:
             ],
             "obstacles": [list(o) for o in self.obstacles],
         }
+
+    @classmethod
+    def from_dict(cls, raw: dict[str, Any]) -> "SceneSpec":
+        """The inverse of to_dict; a missing key or a bad shape or value raises ValueError."""
+        try:
+            lanes = tuple(
+                LaneBand(b["lane"], tuple(map(float, b["bottom"])), tuple(map(float, b["top"])), int(b["horizon"]))
+                for b in raw["lanes"]
+            )
+            obstacles = tuple(tuple(map(int, o)) for o in raw["obstacles"])
+            return cls(
+                int(raw["width"]), int(raw["height"]), lanes, obstacles,
+                float(raw["noise_rate"]), road_class_from_name(raw["road_class"]), int(raw["seed"]),
+            )
+        # Input that is not a scene spec fails one of these steps, whichever it is.
+        except (ArithmeticError, AttributeError, LookupError, TypeError) as e:
+            raise ValueError(f"{type(e).__name__}: {e}") from None
 
 
 @dataclass(frozen=True)

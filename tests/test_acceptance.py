@@ -28,7 +28,7 @@ from lanespace.losses import (
     enet_weights,
     total_loss,
 )
-from lanespace.metrics import ConfusionCounts, confusion, iou
+from lanespace.metrics import confusion, iou
 from lanespace.pipeline import (
     MSG_MASK,
     MSG_REGIONS,
@@ -194,10 +194,9 @@ def test_criterion_5_loss_numerics():
 
 def test_criterion_6_metric_identities():
     with criterion("criterion 6 metric identities"):
-        counts = ConfusionCounts(
-            tp=np.array([5, 0, 0]), fp=np.array([3, 0, 0]), fn=np.array([2, 0, 0])
-        )
-        assert iou(counts, 0) == 0.5  # 5 / (3 + 5 + 2), exact
+        # Rows are gt, columns pred: class 0 has 5 hits, 2 misses and 3 false alarms.
+        table = np.array([[5, 2, 0], [3, 0, 0], [0, 0, 0]], dtype=np.int64)
+        assert iou(table, 0) == 0.5  # 5 / (3 + 5 + 2), exact
 
         rng = np.random.default_rng(6)
         batches = [
@@ -207,16 +206,12 @@ def test_criterion_6_metric_identities():
             )
             for _ in range(5)
         ]
-        summed = ConfusionCounts.zero()
-        for pred, gt in batches:
-            summed = summed + confusion(pred, gt)
+        summed = sum(confusion(pred, gt) for pred, gt in batches)
         whole = confusion(
             SegmentationMask(np.concatenate([p.data for p, _ in batches])),
             SegmentationMask(np.concatenate([g.data for _, g in batches])),
         )
-        assert np.array_equal(summed.tp, whole.tp)
-        assert np.array_equal(summed.fp, whole.fp)
-        assert np.array_equal(summed.fn, whole.fn)
+        assert np.array_equal(summed, whole)
 
 
 def test_criterion_7_policy_table():

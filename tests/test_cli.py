@@ -1,11 +1,8 @@
 import argparse
 import json
-import os
 import queue
 import re
 import socket
-import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -15,8 +12,11 @@ import pytest
 from lanespace import __version__, cli, pipeline
 from lanespace.cli import main
 from lanespace.core import RoadClass, SegmentationMask
+from lanespace.geometry import rasterize_pieces
 from lanespace.netpbm import write_mask
 from lanespace.pipeline import PipelineClient, encode_frame, make_source, mask_frame
+from lanespace.regions import extract_regions
+from lanespace.scenes import generate, sample_spec
 from conftest import CaptureSink, small_frame, stalled_frame_bytes, three_lane_mask
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -567,6 +567,34 @@ def test_eval_of_identical_directories_is_perfect(tmp_path, capsys):
         assert value is None or value == pytest.approx(1.0)
 
 
+def oracle_scores(count, **gen_options):
+    """What `eval`'s scene section should read for `gen --count count` at
+    seed 0 and default extraction, from the scenes in memory: the mean lane
+    IoU over (scene, lane) pairs, 0 for a lane that is missing, and the
+    obstacle pixels with those reported drivable."""
+    ious, obstacles, drivable = [], 0, 0
+    for seed in range(count):
+        spec = sample_spec(seed, **gen_options)
+        mask, oracle = generate(spec)
+        regions = extract_regions(mask)
+        by_role = {r.lane: r for r in regions.present()}
+        paint = np.zeros((spec.height, spec.width), dtype=bool)
+        for region in regions.present():
+            paint |= rasterize_pieces(region.pieces, spec.width, spec.height)
+        for role in oracle.roles():
+            truth = oracle.lane_grid(role)
+            covered = np.zeros_like(truth)
+            if role in by_role:
+                covered = rasterize_pieces(by_role[role].pieces, spec.width, spec.height)
+            ious.append((covered & truth).sum() / (covered | truth).sum())
+        blocked = np.zeros_like(paint)
+        for x0, y0, x1, y1 in spec.obstacles:
+            blocked[y0:y1, x0:x1] = True
+        obstacles += int(blocked.sum())
+        drivable += int((blocked & paint).sum())
+    return float(np.mean(ious)), obstacles, drivable
+
+
 def test_gen_run_eval_round_trip_scores_high(tmp_path, capsys):
     scenes = tmp_path / "scenes"
     preds = tmp_path / "preds"
@@ -582,6 +610,79 @@ def test_gen_run_eval_round_trip_scores_high(tmp_path, capsys):
     assert report["per_class_iou"]["background"] >= 0.9
     assert report["miou"] >= 0.85
     assert report["accuracy"] == pytest.approx(1.0)  # documents carry the class
+    lane_iou_mean, obstacles, drivable = oracle_scores(3, noise_rate=0.0)
+    scene = report["scene"]
+    assert set(scene["lane_iou"]) == {"ego", "left", "right"}
+    assert all(0.9 <= v <= 1.0 for v in scene["lane_iou"].values())
+    assert scene["lane_iou_mean"] == pytest.approx(lane_iou_mean, abs=1e-12)
+    # Obstacles sit inside lanes and each lane's hull spans them, so every
+    # obstacle pixel reads as drivable.
+    assert obstacles > 0
+    assert scene["obstacle_pixels"] == obstacles
+    assert scene["obstacle_pixels_drivable"] == drivable == obstacles
+
+
+def eval_one_scene(tmp_path, sidecar):
+    """`eval` of one 64x48 ground-truth mask with this sidecar text against
+    a region document with no region: the exit code and the report, None on
+    failure."""
+    gt, pred = tmp_path / "gt", tmp_path / "pred"
+    gt.mkdir()
+    pred.mkdir()
+    write_mask(gt / "000000.pgm", SegmentationMask(np.zeros((48, 64), dtype=np.uint8)))
+    (gt / "000000.json").write_text(sidecar)
+    (pred / "000000.json").write_text('{"regions": []}')
+    out = tmp_path / "report.json"
+    code = main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)])
+    return code, json.loads(out.read_text()) if code == 0 else None
+
+
+def scene_sidecar(**changes):
+    spec = sample_spec(0, width=64, height=48, max_obstacles=0)
+    return json.dumps({**spec.to_dict(), **changes})
+
+
+def test_eval_of_a_sidecar_with_only_a_road_class_has_no_scene_section(tmp_path):
+    code, report = eval_one_scene(tmp_path, '{"road_class": "highway"}')
+    assert code == 0
+    assert "scene" not in report and report["n_images"] == 1
+
+
+@pytest.mark.parametrize(
+    "sidecar, reason",
+    [
+        ('{"lanes": []}', "not a scene spec: KeyError: "),
+        (scene_sidecar(lanes=5), "not a scene spec: TypeError: "),
+        (scene_sidecar(lanes=[]), "not a scene spec: a scene has 1 to 3 lanes"),
+        (scene_sidecar(width=128), "scene is 128x48, its mask 64x48"),
+    ],
+    ids=["missing-key", "lanes-not-a-list", "no-lane", "another-size"],
+)
+def test_eval_refuses_a_scene_sidecar_that_is_not_one_by_name(tmp_path, capsys, sidecar, reason):
+    code, _ = eval_one_scene(tmp_path, sidecar)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'gt' / '000000.json'}: {reason}")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_scores_a_lane_with_no_pixel_as_0(tmp_path):
+    # An obstacle over the whole image leaves the ego lane no pixel.
+    code, report = eval_one_scene(tmp_path, scene_sidecar(obstacles=[[0, 0, 64, 48]]))
+    assert code == 0
+    assert report["scene"]["lane_iou"]["ego"] == 0.0
+    assert report["scene"]["obstacle_pixels"] == 64 * 48
+    assert report["scene"]["obstacle_pixels_drivable"] == 0
+
+
+def test_eval_finds_the_document_of_a_mask_whose_name_has_a_dot(tmp_path, capsys):
+    gt, pred = tmp_path / "gt", tmp_path / "pred"
+    gt.mkdir()
+    pred.mkdir()
+    write_mask(gt / "scene.v2.pgm", three_lane_mask())
+    assert main(["process", str(gt / "scene.v2.pgm"), "--out", str(pred / "scene.v2.json")]) == 0
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 0
+    assert json.loads(capsys.readouterr().out)["miou"] >= 0.9
 
 
 def test_eval_requires_predictions_for_every_frame(tmp_path, capsys):
@@ -751,18 +852,3 @@ def test_readme_cli_table_matches_the_parser():
         for name, sub in commands.choices.items()
     }
     assert readme_cli_options() == parsed
-
-
-def test_demo_scene_script_writes_its_four_files(tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-    out = tmp_path / "demo"
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "demo_scene.py"), "--seed", "7", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert sorted(p.name for p in out.iterdir()) == [
-        "document.json", "mask.pgm", "overlay.ppm", "scene.json",
-    ]

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lanespace.core import SegmentationMask
-from lanespace.metrics import N_CLASSES, ConfusionCounts, accuracy, confusion, iou, miou
+from lanespace.metrics import N_CLASSES, accuracy, confusion, iou, miou
 
 
 @st.composite
@@ -18,17 +18,16 @@ def mask_pairs(draw):
     return SegmentationMask(pred), SegmentationMask(gt)
 
 
-def counts_by_tally(pred, gt):
-    tp = np.zeros(N_CLASSES, dtype=np.int64)
-    fp = np.zeros(N_CLASSES, dtype=np.int64)
-    fn = np.zeros(N_CLASSES, dtype=np.int64)
+def table_by_tally(pred, gt):
+    table = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for p, g in zip(pred.data.ravel(), gt.data.ravel()):
-        if p == g:
-            tp[p] += 1
-        else:
-            fp[p] += 1
-            fn[g] += 1
-    return ConfusionCounts(tp, fp, fn)
+        table[g, p] += 1
+    return table
+
+
+def tp_fp_fn(table):
+    tp = np.diag(table)
+    return tp, table.sum(axis=0) - tp, table.sum(axis=1) - tp
 
 
 def masks(pred_rows, gt_rows):
@@ -40,30 +39,29 @@ def masks(pred_rows, gt_rows):
 
 def test_confusion_hand_example():
     pred, gt = masks([[0, 1, 1], [2, 1, 2]], [[0, 1, 2], [1, 1, 2]])
-    counts = confusion(pred, gt)
-    assert counts.tp.tolist() == [1, 2, 1]
-    assert counts.fp.tolist() == [0, 1, 1]
-    assert counts.fn.tolist() == [0, 1, 1]
+    table = confusion(pred, gt)
+    assert table.dtype == np.int64
+    assert table.tolist() == [[1, 0, 0], [0, 2, 1], [0, 1, 1]]
+    tp, fp, fn = tp_fp_fn(table)
+    assert tp.tolist() == [1, 2, 1]
+    assert fp.tolist() == [0, 1, 1]
+    assert fn.tolist() == [0, 1, 1]
 
 
 @given(mask_pairs())
 def test_confusion_matches_elementwise_tally(pair):
     pred, gt = pair
-    got = confusion(pred, gt)
-    want = counts_by_tally(pred, gt)
-    assert np.array_equal(got.tp, want.tp)
-    assert np.array_equal(got.fp, want.fp)
-    assert np.array_equal(got.fn, want.fn)
+    assert np.array_equal(confusion(pred, gt), table_by_tally(pred, gt))
 
 
 @given(mask_pairs())
 def test_count_identities(pair):
     pred, gt = pair
-    counts = confusion(pred, gt)
+    tp, fp, fn = tp_fp_fn(confusion(pred, gt))
     n = pred.data.size
-    assert int((counts.tp + counts.fn).sum()) == n  # every pixel has one gt class
-    assert int((counts.tp + counts.fp).sum()) == n  # and one predicted class
-    assert int(counts.fp.sum()) == int(counts.fn.sum())
+    assert int((tp + fn).sum()) == n  # every pixel has one gt class
+    assert int((tp + fp).sum()) == n  # and one predicted class
+    assert int(fp.sum()) == int(fn.sum())
 
 
 def test_confusion_rejects_shape_mismatch():
@@ -80,62 +78,52 @@ def test_counts_additivity_over_batches():
         pred = SegmentationMask(rng.integers(0, 3, (8, 8)).astype(np.uint8))
         gt = SegmentationMask(rng.integers(0, 3, (8, 8)).astype(np.uint8))
         pairs.append((pred, gt))
-    total = ConfusionCounts.zero()
-    for pred, gt in pairs:
-        total = total + confusion(pred, gt)
+    total = sum(confusion(pred, gt) for pred, gt in pairs)
     merged = confusion(
         SegmentationMask(np.concatenate([p.data for p, _ in pairs])),
         SegmentationMask(np.concatenate([g.data for _, g in pairs])),
     )
-    assert np.array_equal(total.tp, merged.tp)
-    assert np.array_equal(total.fp, merged.fp)
-    assert np.array_equal(total.fn, merged.fn)
-
-
-def test_counts_validation():
-    with pytest.raises(ValueError):
-        ConfusionCounts(np.zeros(2, dtype=np.int64), np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        ConfusionCounts(np.array([-1, 0, 0]), np.zeros(3), np.zeros(3))
+    assert np.array_equal(total, merged)
 
 
 def test_iou_hand_values():
     pred, gt = masks([[0, 1, 1], [2, 1, 2]], [[0, 1, 2], [1, 1, 2]])
-    counts = confusion(pred, gt)
-    assert iou(counts, 0) == pytest.approx(1.0)
-    assert iou(counts, 1) == pytest.approx(0.5)
-    assert iou(counts, 2) == pytest.approx(1.0 / 3.0)
-    assert miou(counts) == pytest.approx((1.0 + 0.5 + 1.0 / 3.0) / 3.0)
+    table = confusion(pred, gt)
+    assert iou(table, 0) == pytest.approx(1.0)
+    assert iou(table, 1) == pytest.approx(0.5)
+    assert iou(table, 2) == pytest.approx(1.0 / 3.0)
+    assert miou(table) == pytest.approx((1.0 + 0.5 + 1.0 / 3.0) / 3.0)
 
 
 def test_absent_class_reports_none_and_miou_skips_it():
     pred, gt = masks([[0, 0], [0, 0]], [[0, 0], [0, 0]])
-    counts = confusion(pred, gt)
-    assert iou(counts, 0) == pytest.approx(1.0)
-    assert iou(counts, 1) is None
-    assert iou(counts, 2) is None
-    assert miou(counts) == pytest.approx(1.0)
+    table = confusion(pred, gt)
+    assert iou(table, 0) == pytest.approx(1.0)
+    assert iou(table, 1) is None
+    assert iou(table, 2) is None
+    assert miou(table) == pytest.approx(1.0)
 
 
 def test_false_positive_only_class_is_not_absent():
     # Class 1 never occurs in gt but is predicted once: IoU 0, not None.
     pred, gt = masks([[1, 0]], [[0, 0]])
-    counts = confusion(pred, gt)
-    assert iou(counts, 1) == pytest.approx(0.0)
-    assert miou(counts) == pytest.approx(0.25)  # (0.5 + 0.0) / 2
+    table = confusion(pred, gt)
+    assert iou(table, 1) == pytest.approx(0.0)
+    assert miou(table) == pytest.approx(0.25)  # (0.5 + 0.0) / 2
 
 
 def test_miou_with_no_classes_at_all_raises():
     with pytest.raises(ValueError):
-        miou(ConfusionCounts.zero())
+        miou(np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64))
 
 
 @given(mask_pairs())
 def test_perfect_prediction_scores_one(pair):
     _, gt = pair
-    counts = confusion(gt, gt)
-    assert counts.fp.sum() == 0 and counts.fn.sum() == 0
-    assert miou(counts) == pytest.approx(1.0)
+    table = confusion(gt, gt)
+    _, fp, fn = tp_fp_fn(table)
+    assert fp.sum() == 0 and fn.sum() == 0
+    assert miou(table) == pytest.approx(1.0)
 
 
 @given(mask_pairs(), st.permutations(list(range(N_CLASSES))))

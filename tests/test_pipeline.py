@@ -20,6 +20,7 @@ from lanespace.pipeline import (
     PipelineClient,
     PipelineConfig,
     ProtocolError,
+    RegionPayload,
     SourceFailure,
     SourceFrame,
     dir_source,
@@ -446,7 +447,100 @@ def test_a_read_timeout_is_one_source_failure_that_names_it(stall):
         items = list(socket_source(b))
     assert len(items) == 1
     assert isinstance(items[0], SourceFailure)
-    assert items[0].reason == "idle: no bytes from the peer for 0.2 s"
+    # The frame's bound runs from its first byte, which came with the rest.
+    assert items[0].reason == "idle: frame not complete within 0.2 s"
+
+
+def trickle(conn, data, gap_s, stop, limit_s=5.0):
+    """Send data one byte every gap_s until it is all sent, stop() is true,
+    limit_s has passed or the peer closes; returns the seconds it ran."""
+    t0 = time.monotonic()
+    for i in range(len(data)):
+        if stop() or time.monotonic() - t0 > limit_s:
+            break
+        try:
+            conn.sendall(data[i : i + 1])
+        except OSError:  # the peer closed
+            break
+        time.sleep(gap_s)
+    return time.monotonic() - t0
+
+
+def encoded_small_frame():
+    f = small_frame(0)
+    return encode_frame(mask_frame(f.frame_id, f.mask, f.road_class))
+
+
+def test_a_peer_that_trickles_a_frame_ends_the_served_run_within_the_bound(monkeypatch):
+    # A byte every 0.1 s keeps each recv well inside the 0.5 s bound; the
+    # frame as a whole is not.
+    monkeypatch.setattr(pipeline, "IDLE_TIMEOUT_S", 0.5)
+    thread, port, result = start_server()
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+        took = trickle(conn, encoded_small_frame(), 0.1, lambda: not thread.is_alive())
+    thread.join(5.0)
+    assert not thread.is_alive()
+    assert took < 2 * 0.5
+    assert result["stats"].frames_processed == 0
+    assert result["stats"].failures == ["idle: frame not complete within 0.5 s"]
+
+
+def test_a_frame_sent_in_small_chunks_within_the_bound_is_answered(monkeypatch):
+    monkeypatch.setattr(pipeline, "IDLE_TIMEOUT_S", 1.0)
+    thread, port, result = start_server()
+    frame = encoded_small_frame()
+    cuts = [0, 5, *range(300, len(frame), 300), len(frame)]  # the header split too
+    client = PipelineClient(f"127.0.0.1:{port}")
+    try:
+        for a, b in zip(cuts, cuts[1:]):  # 15 chunks over about 0.45 s
+            client.conn.sendall(frame[a:b])
+            time.sleep(0.03)
+        reply = client.recv_regions()
+        client.finish_sending()
+        assert client.recv_regions() is None
+    finally:
+        client.close()
+    thread.join(5.0)
+    assert not thread.is_alive()
+    assert reply.frame_id == 0
+    assert (result["stats"].frames_processed, result["stats"].failures) == (1, [])
+
+
+def test_a_pause_between_frames_still_ends_the_served_run_as_idle(monkeypatch):
+    monkeypatch.setattr(pipeline, "IDLE_TIMEOUT_S", 0.3)
+    thread, port, result = start_server()
+    client = PipelineClient(f"127.0.0.1:{port}")
+    try:
+        client.conn.sendall(encoded_small_frame())
+        assert client.recv_regions().frame_id == 0
+        thread.join(5.0)  # the pause, longer than the bound
+        assert not thread.is_alive()
+    finally:
+        client.close()
+    assert result["stats"].frames_processed == 1
+    assert result["stats"].failures == ["idle: no bytes from the peer for 0.3 s"]
+
+
+def test_the_client_times_out_on_a_region_frame_that_trickles():
+    frame = encode_frame(FrameMessage(0, RegionPayload(b'{"regions": []}' * 10)))
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = PipelineClient(f"127.0.0.1:{server.getsockname()[1]}", timeout=0.5)
+        peer, _ = server.accept()
+        sender = threading.Thread(target=trickle, args=(peer, frame, 0.1, stop.is_set))
+        with peer:
+            sender.start()
+            t0 = time.monotonic()
+            try:
+                with pytest.raises(TimeoutError, match="^frame not complete within 0.5 s$"):
+                    client.recv_regions()
+                took = time.monotonic() - t0
+            finally:
+                stop.set()
+                sender.join(5.0)
+                client.close()
+    assert not sender.is_alive()
+    assert took < 2 * 0.5
 
 
 def test_a_mask_that_is_not_a_mask_is_one_failure_and_the_next_is_answered():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -146,6 +147,38 @@ def test_sampled_specs_are_valid_and_deterministic():
         assert set(oracle.roles()) <= {LANE_LEFT, LANE_EGO, LANE_RIGHT}
         assert LANE_EGO in oracle.roles()
         assert mask.data.shape == (480, 640)
+
+
+def test_a_spec_survives_its_dict_and_json_forms():
+    with_obstacles = 0
+    for seed in range(100):
+        spec = sample_spec(seed)
+        assert SceneSpec.from_dict(spec.to_dict()) == spec
+        assert SceneSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        with_obstacles += bool(spec.obstacles)
+    assert with_obstacles >= 20
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("seed"),
+        lambda d: d.update(lanes=5),
+        lambda d: d.update(road_class=3),
+        lambda d: d.update(width="wide"),
+        lambda d: d.update(width=float("inf")),
+        lambda d: d["lanes"][0].update(bottom=[1.0, 2.0, 3.0]),
+        lambda d: d["lanes"][0].update(lane=["ego"]),
+        lambda d: d["obstacles"].append([1, 2, 3]),
+    ],
+    ids=["missing-key", "lanes-not-a-list", "road-class-not-a-name", "width-not-a-number",
+         "width-infinite", "three-number-span", "unhashable-role", "three-number-obstacle"],
+)
+def test_from_dict_refuses_what_is_not_a_spec_with_value_error(edit):
+    raw = sample_spec(1).to_dict()
+    edit(raw)
+    with pytest.raises(ValueError):
+        SceneSpec.from_dict(raw)
 
 
 def test_sample_spec_honours_overrides():
